@@ -37,6 +37,29 @@ class GlanceAssignment:
     tau: float
 
 
+def _viterbi_tables(logE, emit):
+    """delta/phi tables of the max-plus recursion, one row per row of emit.
+
+    delta[0] is one-hot at vertex 0 with score emit[0, 0]; for i >= 1
+    delta[i, j] = max_k delta[i-1, k] + logE[k, j] + emit[i, j] and phi[i, j]
+    is the first maximizing k. Each step adds into a preallocated (j, k)
+    buffer against a transposed copy of log E, taken once per call, so the
+    maximum runs along the contiguous axis.
+    """
+    n, L = emit.shape
+    logE_T = np.ascontiguousarray(logE.T)
+    cand = np.empty((L, L))
+    vertices = np.arange(L)
+    delta = np.full((n, L), NEG_INF)
+    phi = np.zeros((n, L), dtype=np.int64)
+    delta[0, 0] = emit[0, 0]
+    for i in range(1, n):
+        np.add(logE_T, delta[i - 1], out=cand)  # cand[j, k] = delta[i-1, k] + logE[k, j]
+        np.argmax(cand, axis=1, out=phi[i])
+        np.add(cand[vertices, phi[i]], emit[i], out=delta[i])
+    return delta, phi
+
+
 def best_path(lattice: DagLattice, target):
     """Most probable path for the target: (VertexPath, log score).
 
@@ -45,14 +68,7 @@ def best_path(lattice: DagLattice, target):
     """
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    logE, logP = lattice.log_transition, lattice.log_emission
-    delta = np.full((M, L), NEG_INF)
-    phi = np.zeros((M, L), dtype=np.int64)
-    delta[0, 0] = logP[0, y[0]]
-    for i in range(1, M):
-        cand = delta[i - 1][:, None] + logE  # (k, j)
-        phi[i] = np.argmax(cand, axis=0)
-        delta[i] = cand[phi[i], np.arange(L)] + logP[:, y[i]]
+    delta, phi = _viterbi_tables(lattice.log_transition, lattice.log_emission[:, y].T)
     score = float(delta[M - 1, L - 1])
     if score == NEG_INF:
         raise InfeasibleTarget(
@@ -114,13 +130,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     toks = np.argmax(lattice.log_emission, axis=1)
     emit = lattice.log_emission[np.arange(L), toks]
 
-    delta = np.full((L, L), NEG_INF)  # (step, vertex)
-    phi = np.zeros((L, L), dtype=np.int64)
-    delta[0, 0] = emit[0]
-    for i in range(1, L):
-        cand = delta[i - 1][:, None] + logE
-        phi[i] = np.argmax(cand, axis=0)
-        delta[i] = cand[phi[i], np.arange(L)] + emit
+    # one row per step, all the same: every step emits the per-vertex best
+    delta, phi = _viterbi_tables(logE, np.broadcast_to(emit, (L, L)))  # (step, vertex)
 
     finals = delta[:, L - 1]  # index i -> path length i+1
     lengths = np.arange(1, L + 1, dtype=np.float64)

@@ -1,6 +1,6 @@
 """Forward-backward inference over DAG lattices.
 
-Implements, entirely in log space:
+Implements
 
     alpha_i(j) = P[j, y_i] * sum_{k<j} alpha_{i-1}(k) * E[k, j]
     beta_i(j)  = sum_{k>j} E[j, k] * beta_{i+1}(k) * P[k, y_{i+1}]
@@ -9,14 +9,43 @@ with alpha_1 one-hot at vertex 1 and beta_M one-hot at vertex L. The log
 marginal of the target is log alpha_M(L); posteriors, expected hidden
 states, and the analytic NLL gradient all derive from the two tables.
 Indices are 0-based throughout this module.
+
+The alpha/beta tables are stored in log space. Each step is computed as a
+max-shifted matrix-vector product against exp(log E), taken once per pass:
+the previous row is shifted by its maximum, exponentiated, multiplied
+through BLAS, and the log taken. The row's 0/1 finite pattern goes through
+the same product as a second row, against edges floored away from zero,
+and marks vertices with no finite predecessor as exactly -inf. Vertices
+whose shifted sum falls outside [1e-250, 1e250] or is not finite (underflow
+of very small entries, overflow of unnormalized ones) are recomputed by the
+exact log-space reduction, so no precision is lost at the extremes.
+
+nll_grad sums the edge posteriors over steps as one (L x (M-1)) by
+((M-1) x L) product with per-step max shifts, times E, and never builds the
+(M-1, L, L) pairwise tensor; posterior(with_pairwise=True) still does.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import DagLattice, TargetSequence
 from .logspace import NEG_INF, logsumexp
+
+# Shifted sums outside [1e-250, 1e250] are too close to underflow or
+# overflow to keep full precision; those columns are recomputed exactly.
+_LOG_SUM_MAX = math.log(1e250)
+# Edge weights exp(log E - max log E) are floored at e^-700 (_pass_matrix).
+_LOG_FLOOR = -700.0
+# Multi-threaded BLAS calls on products this small gain little and stall
+# for milliseconds when the machine's other cores are busy. Products are
+# split into column blocks of fewer multiply-adds than this, below the size
+# at which OpenBLAS starts threads, so every call runs on the calling thread.
+_BLAS_BLOCK = 200_000
+# Gradient steps whose scale exp(shift) lies outside e^(+-600) are summed
+# exactly in log space.
+_SHIFT_MAX = 600.0
 
 
 class InfeasibleTarget(ValueError):
@@ -63,26 +92,89 @@ def _tokens(lattice: DagLattice, target) -> np.ndarray:
     return toks
 
 
+def _matmul(a, b):
+    """a @ b for a vector or matrix a, in column blocks of b small enough
+    that each BLAS call runs on the calling thread."""
+    step = max(1, _BLAS_BLOCK // max(a.size, 1))
+    if step >= b.shape[-1]:
+        return a @ b
+    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
+    for j in range(0, b.shape[-1], step):
+        np.matmul(a, b[:, j:j + step], out=out[..., j:j + step])
+    return out
+
+
+def _pass_matrix(logE):
+    """exp(log E - max log E), edges floored at e^-700, built once per pass.
+
+    The shift keeps every entry at most 1, so no term of a step overflows,
+    and a term lost to underflow or raised to the floor changes its sum by
+    less than 1e-300, which cannot matter against a shifted sum of at least
+    1e-250. The floor also makes every edge count in a product against a
+    0/1 vector: that sum is 0 exactly when no finite term reaches the
+    column. Non-edges stay exactly 0; NaN entries stay NaN.
+    """
+    top = np.max(logE)
+    if not np.isfinite(top):
+        top = 0.0
+    expE = np.subtract(logE, top)
+    # clamping before exp also keeps -inf and underflow, exp's slow
+    # special cases, out of its input
+    np.maximum(expE, _LOG_FLOOR, out=expE)
+    np.exp(expE, out=expE)
+    np.multiply(expE, logE != NEG_INF, out=expE)
+    return expE, top
+
+
+def _log_vecmat(x, logE, expE, top):
+    """logsumexp(x[:, None] + logE, axis=0), computed by one BLAS product.
+
+    Two rows go through the product together: the max-shifted exp(x), and
+    the 0/1 finite pattern of x, which counts the finite terms per column.
+    A column with none has a shifted sum of exactly 0, hence -inf; columns
+    whose shifted sum is out of range or not finite fall back to the exact
+    log-space reduction.
+    """
+    m = x.max()
+    shift = m if math.isfinite(m) else 0.0
+    rows = np.empty((2, x.size))
+    with np.errstate(all="ignore"):
+        np.subtract(x, shift, out=rows[0])
+        np.exp(rows[0], out=rows[0])
+        np.not_equal(x, NEG_INF, out=rows[1])
+        s, count = _matmul(rows, expE)
+        out = np.log(s)
+    redo = np.flatnonzero(~(np.abs(out) <= _LOG_SUM_MAX) & (count != 0))
+    out += shift + top
+    if redo.size:
+        out[redo] = logsumexp(x[:, None] + logE[:, redo], axis=0)
+    return out
+
+
 def forward(lattice: DagLattice, target) -> ForwardTable:
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    logE, logP = lattice.log_transition, lattice.log_emission
+    logE = lattice.log_transition
+    emit = lattice.log_emission[:, y].T  # (M, L)
+    expE, top = _pass_matrix(logE)
     la = np.full((M, L), NEG_INF)
-    la[0, 0] = logP[0, y[0]]
+    la[0, 0] = emit[0, 0]
     for i in range(1, M):
         # inner reduction over predecessors k; masked entries of E keep k < j
-        la[i] = logP[:, y[i]] + logsumexp(la[i - 1][:, None] + logE, axis=0)
+        np.add(emit[i], _log_vecmat(la[i - 1], logE, expE, top), out=la[i])
     return ForwardTable(la)
 
 
 def backward(lattice: DagLattice, target) -> BackwardTable:
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    logE, logP = lattice.log_transition, lattice.log_emission
+    logE = lattice.log_transition.T  # reduce over successors, without a copy
+    emit = lattice.log_emission[:, y].T
+    expE, top = _pass_matrix(logE)
     lb = np.full((M, L), NEG_INF)
     lb[M - 1, L - 1] = 0.0
     for i in range(M - 2, -1, -1):
-        lb[i] = logsumexp(logE + (lb[i + 1] + logP[:, y[i + 1]])[None, :], axis=1)
+        lb[i] = _log_vecmat(lb[i + 1] + emit[i + 1], logE, expE, top)
     return BackwardTable(lb)
 
 
@@ -96,13 +188,8 @@ def nll(lattice: DagLattice, target) -> float:
     return float("inf") if lm == NEG_INF else -lm
 
 
-def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTable:
-    """Vertex occupancy gamma and, optionally, edge posteriors xi.
-
-    gamma[i, j] = exp(log_alpha[i, j] + log_beta[i, j] - log_marginal).
-    Raises InfeasibleTarget when the marginal is zero.
-    """
-    y = _tokens(lattice, target)
+def _smoothed(lattice: DagLattice, y):
+    """Forward and backward tables, log marginal and gamma of a feasible target."""
     ft = forward(lattice, y)
     bt = backward(lattice, y)
     logZ = ft.log_marginal
@@ -110,7 +197,17 @@ def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTabl
         raise InfeasibleTarget(
             f"target of length {y.size} has no path in a {lattice.graph_size}-vertex lattice"
         )
-    gamma = np.exp(ft.log_alpha + bt.log_beta - logZ)
+    return ft, bt, logZ, np.exp(ft.log_alpha + bt.log_beta - logZ)
+
+
+def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTable:
+    """Vertex occupancy gamma and, optionally, edge posteriors xi.
+
+    gamma[i, j] = exp(log_alpha[i, j] + log_beta[i, j] - log_marginal).
+    Raises InfeasibleTarget when the marginal is zero.
+    """
+    y = _tokens(lattice, target)
+    ft, bt, logZ, gamma = _smoothed(lattice, y)
     xi = None
     if with_pairwise:
         M, L = y.size, lattice.graph_size
@@ -141,17 +238,37 @@ def nll_grad(lattice: DagLattice, target):
     d nll / d log E[k, j] = -sum_i xi[i, k, j]
     d nll / d log P[j, v] = -sum_{i: y_i = v} gamma[i, j]
 
-    Entries at -inf get gradient 0. Returns (grad_log_transition,
+    With a_i = log_alpha[i] and c_i = log P[:, y_{i+1}] + log_beta[i+1],
+    sum_i xi[i, k, j] = E[k, j] * sum_i exp(a_i[k] + c_i[j] - log Z): one
+    (L x (M-1)) by ((M-1) x L) product whose factors are shifted per step
+    by their maxima, and by the largest log E entry, so none overflows.
+    Steps whose combined scale is out of range are added exactly in log
+    space. Entries at -inf get gradient 0. Returns (grad_log_transition,
     grad_log_emission).
     """
     y = _tokens(lattice, target)
-    post = posterior(lattice, y, with_pairwise=True)
-    dE = -post.xi.sum(axis=0)
-    dE[lattice.log_transition == NEG_INF] = 0.0
+    ft, bt, logZ, gamma = _smoothed(lattice, y)
+    logE, logP = lattice.log_transition, lattice.log_emission
+    a = ft.log_alpha[:-1]
+    c = bt.log_beta[1:] + logP[:, y[1:]].T
+    expE, top = _pass_matrix(logE)
+    with np.errstate(all="ignore"):
+        u = np.max(a, axis=1, initial=NEG_INF)
+        w = np.max(c, axis=1, initial=NEG_INF)
+        shift = u + w + top - logZ
+        fast = np.abs(shift) < _SHIFT_MAX
+        left = np.exp(a[fast] - u[fast, None]).T
+        right = np.exp(c[fast] - w[fast, None] + shift[fast, None])
+        dE = _matmul(left, right)
+        dE *= expE
+        for i in np.flatnonzero(~fast):
+            dE += np.exp(a[i][:, None] + logE + c[i][None, :] - logZ)
+    # 0 - x rather than -x: entries at -inf get +0.0
+    np.subtract(0.0, dE, out=dE)
     dP = np.zeros((lattice.graph_size, lattice.vocab_size))
     for i, v in enumerate(y):
-        dP[:, v] -= post.gamma[i]
-    dP[lattice.log_emission == NEG_INF] = 0.0
+        dP[:, v] -= gamma[i]
+    dP[logP == NEG_INF] = 0.0
     return dE, dP
 
 

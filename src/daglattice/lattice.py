@@ -8,6 +8,7 @@ and CLI output use 1-based indices.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -297,19 +298,23 @@ def _load_binary_body(fh, path):
     version, L, V, d = struct.unpack("<IIII", header)
     if version != BINARY_VERSION:
         raise LatticeFormatError(f"{path}: unsupported binary version {version}")
+    # check the declared size against the file before reading anything, so
+    # a corrupt header cannot ask for gigabytes
+    declared = 8 * L * (L + V + d)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if declared != left:
+        raise LatticeFormatError(
+            f"{path}: header declares L={L}, vocab={V}, d={d}, which is "
+            f"{declared} bytes of matrices, but {left} bytes follow it"
+        )
 
-    def read_mat(rows, cols, name):
-        n = rows * cols * 8
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise LatticeFormatError(f"{path}: truncated {name} block")
+    def read_mat(rows, cols):
+        buf = fh.read(rows * cols * 8)
         return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
-    lt = read_mat(L, L, "log_transition")
-    le = read_mat(L, V, "log_emission")
-    hs = read_mat(L, d, "hidden_states") if d > 0 else None
-    if fh.read(1):
-        raise LatticeFormatError(f"{path}: trailing bytes after matrices")
+    lt = read_mat(L, L)
+    le = read_mat(L, V)
+    hs = read_mat(L, d) if d > 0 else None
     return DagLattice(L, V, d, lt, le, hs)
 
 
