@@ -6,6 +6,7 @@ stderr. Exit codes: 0 success, 2 parse error, 3 infeasible target,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import decode, dp, oracle, pipeline
 from .lattice import (
-    DagLattice,
     DimensionError,
     LatticeFormatError,
     build_random,
@@ -68,15 +68,6 @@ def _render(value, pretty, indent=0):
     return json.dumps(str(value))
 
 
-def emit_report(command, inputs, outputs, args, seed=None, start=None):
-    report = {"command": command, "inputs": inputs, "outputs": outputs}
-    if not args.no_timing and start is not None:
-        report["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
-    if seed is not None:
-        report["seed"] = int(seed)
-    print(_render(report, args.pretty))
-
-
 def _load_validated(args):
     lat = load_lattice(args.lattice)
     if not args.skip_validation:
@@ -91,13 +82,6 @@ def _load_validated(args):
     return lat
 
 
-def _seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("DAGLATTICE_SEED")
-    return int(env) if env else 0
-
-
 def _matrix(path):
     with open(path) as fh:
         try:
@@ -106,129 +90,73 @@ def _matrix(path):
             raise LatticeFormatError(f"{path}: {exc}") from exc
 
 
-def cmd_score(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
+def cmd_score(args, lat, target):
     value = dp.nll(lat, target)
-    outputs = {"nll": value, "log_marginal": -value}
-    emit_report("score", {"lattice": args.lattice, "target": args.target},
-                outputs, args, start=start)
-    return EXIT_INFEASIBLE if math.isinf(value) else 0
+    return {"nll": value, "log_marginal": -value}, EXIT_INFEASIBLE if math.isinf(value) else 0
 
 
-def cmd_posterior(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
+def cmd_posterior(args, lat, target):
     post = dp.posterior(lat, target, with_pairwise=args.pairwise)
     outputs = {"gamma": post.gamma.tolist()}
     if post.xi is not None:
         outputs["xi"] = post.xi.tolist()
-    emit_report("posterior", {"lattice": args.lattice, "target": args.target},
-                outputs, args, start=start)
-    return 0
+    return outputs
 
 
-def cmd_expect(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
-    z = dp.expected_states(lat, target)
-    emit_report("expect", {"lattice": args.lattice, "target": args.target},
-                {"expected_states": z.z.tolist()}, args, start=start)
-    return 0
+def cmd_expect(args, lat, target):
+    return {"expected_states": dp.expected_states(lat, target).z.tolist()}
 
 
-def cmd_bestpath(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
+def cmd_bestpath(args, lat, target):
     path, score = decode.best_path(lat, target)
-    emit_report("bestpath", {"lattice": args.lattice, "target": args.target},
-                {"path": list(path.one_based()), "score": score}, args, start=start)
-    return 0
+    return {"path": list(path.one_based()), "score": score}
 
 
-def cmd_glance(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
-    seed = _seed(args)
-    ga = decode.glance_assign(lat, target, args.tau, seed)
-    outputs = {
+def cmd_glance(args, lat, target):
+    ga = decode.glance_assign(lat, target, args.tau, args.seed)
+    return {
         "path": list(ga.path.one_based()),
         "observed_mask": [bool(b) for b in ga.observed_mask],
         "tau": ga.tau,
         "unmasked": int(ga.observed_mask.sum()),
     }
-    emit_report("glance", {"lattice": args.lattice, "target": args.target},
-                outputs, args, seed=seed, start=start)
-    return 0
 
 
-def cmd_decode(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
+def cmd_decode(args, lat, target):
     if args.strategy == "lookahead":
         result = decode.lookahead(lat, args.max_steps)
     else:
         result = decode.joint_viterbi(lat, length_select=args.length_select)
-    outputs = {
+    return {
         "strategy": args.strategy,
         "path": list(result.path.one_based()),
         "tokens": [int(t) for t in result.tokens.tokens],
         "joint_logprob": result.joint_logprob,
         "truncated": result.truncated,
     }
-    emit_report("decode", {"lattice": args.lattice}, outputs, args, start=start)
-    return 0
 
 
-def cmd_gradcheck(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    target = load_target(args.target)
+def cmd_gradcheck(args, lat, target):
     from .gradcheck import finite_difference_check
 
-    result = finite_difference_check(lat, target, step=args.step)
-    emit_report("gradcheck", {"lattice": args.lattice, "target": args.target},
-                result, args, start=start)
-    return 0
+    return finite_difference_check(lat, target, step=args.step)
 
 
-def cmd_oracle(args):
-    start = time.perf_counter()
-    lat = _load_validated(args)
-    inputs = {"lattice": args.lattice, "mode": args.mode}
+def cmd_oracle(args, lat, target):
     if args.mode == "logprob":
-        target = load_target(args.target)
-        inputs["target"] = args.target
         lm = oracle.enumerate_logprob(lat, target)
-        outputs = {"log_marginal": lm, "nll": float("inf") if lm == NEG_INF else -lm}
-    elif args.mode == "posterior":
-        target = load_target(args.target)
-        inputs["target"] = args.target
+        return {"log_marginal": lm, "nll": float("inf") if lm == NEG_INF else -lm}
+    if args.mode == "posterior":
         post = oracle.enumerate_posterior(lat, target)
-        outputs = {"gamma": post.gamma.tolist(), "xi": post.xi.tolist()}
-    else:  # argmax
-        if args.target:
-            target = load_target(args.target)
-            inputs["target"] = args.target
-            path, toks, score = oracle.enumerate_argmax(lat, target)
-        else:
-            path, toks, score = oracle.enumerate_argmax(lat, length=args.length)
-        outputs = {
-            "path": [v + 1 for v in path],
-            "tokens": [int(t) for t in toks],
-            "score": score,
-        }
-    emit_report("oracle", inputs, outputs, args, start=start)
-    return 0
+        return {"gamma": post.gamma.tolist(), "xi": post.xi.tolist()}
+    if target is not None:
+        path, toks, score = oracle.enumerate_argmax(lat, target)
+    else:
+        path, toks, score = oracle.enumerate_argmax(lat, length=args.length)
+    return {"path": [v + 1 for v in path], "tokens": [int(t) for t in toks], "score": score}
 
 
-def cmd_pipeline(args):
-    start = time.perf_counter()
+def cmd_pipeline(args, lat, target):
     states = _matrix(args.states)
     with open(args.durations) as fh:
         durations = json.load(fh)
@@ -247,25 +175,23 @@ def cmd_pipeline(args):
             "l1": tts.l1, "dur_mse": tts.dur_mse, "pitch_mse": tts.pitch_mse,
             "energy_mse": tts.energy_mse, "total": tts.total,
         }
+        # loaded here rather than by _run, so that loss-file errors come first
         if args.lattice:
             lat = _load_validated(args)
             target = load_target(args.target)
             nll_value = dp.nll(lat, target)
             outputs["nll"] = nll_value
             outputs["combined"] = dp.composite_loss(nll_value, tts.total, args.mu)
-    emit_report("pipeline", {"states": args.states, "durations": args.durations},
-                outputs, args, start=start)
-    return 0
+    return outputs
 
 
-def cmd_bench(args):
-    start = time.perf_counter()
+def cmd_bench(args, lat, target):
     sizes = [int(s) for s in args.sizes.split(",")]
     if sizes != sorted(sizes):
         raise ValueError("--sizes must be ascending")
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
-    lats = [build_random(L, args.vocab_size, 0, seed) for L in sizes]
+    args.sizes = sizes  # the report echoes the parsed sizes
+    rng = np.random.default_rng(args.seed)
+    lats = [build_random(L, args.vocab_size, 0, args.seed) for L in sizes]
     target = rng.integers(0, args.vocab_size, size=args.target_len)
     times = [[] for _ in sizes]
     for lat in lats:  # warm-up, excluded from timing
@@ -289,12 +215,38 @@ def cmd_bench(args):
             "ratio_to_prev": None if prev_med is None else med_ms / prev_med,
         })
         prev_med = med_ms
-    emit_report("bench",
-                {"sizes": sizes, "target_len": args.target_len, "repeats": args.repeats},
-                {"rows": rows}, args, seed=seed, start=start)
-    return 0
+    return {"rows": rows}
 
 
+def _run(args):
+    """Load what the command declares, run it, print its one JSON report and
+    return the exit code. A command returns its outputs, or (outputs, exit
+    code) when it can fail after producing them."""
+    start = time.perf_counter()
+    lat = _load_validated(args) if "lattice" in args.inputs else None
+    target = None
+    if "target" in args.inputs and args.target is not None:
+        target = load_target(args.target)
+    has_seed = "seed" in vars(args)
+    if has_seed and args.seed is None:
+        env = os.environ.get("DAGLATTICE_SEED")
+        args.seed = int(env) if env else 0
+    outputs = args.fn(args, lat, target)
+    code = 0
+    if isinstance(outputs, tuple):
+        outputs, code = outputs
+    inputs = {name: getattr(args, name) for name in args.inputs
+              if getattr(args, name) is not None}
+    report = {"command": args.subcommand, "inputs": inputs, "outputs": outputs}
+    if not args.no_timing:
+        report["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
+    if has_seed:
+        report["seed"] = int(args.seed)
+    print(_render(report, args.pretty))
+    return code
+
+
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="daglattice",
@@ -305,14 +257,16 @@ def build_parser():
                         help="omit wall_time_ms (for byte-level output comparison)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, lattice=True, target=True):
+    def add(name, fn, inputs=("lattice", "target"), required_target=True):
+        """Subcommand whose report echoes the named arguments as its inputs;
+        the runner loads --lattice and --target when they are named."""
         p = sub.add_parser(name)
-        if lattice:
+        if "lattice" in inputs:
             p.add_argument("--lattice", required=True)
             p.add_argument("--skip-validation", action="store_true")
-        if target:
+        if "target" in inputs and required_target:
             p.add_argument("--target", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, inputs=inputs)
         return p
 
     add("score", cmd_score)
@@ -323,17 +277,17 @@ def build_parser():
     p = add("glance", cmd_glance)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--seed", type=int)
-    p = add("decode", cmd_decode, target=False)
+    p = add("decode", cmd_decode, ("lattice",))
     p.add_argument("--strategy", choices=["lookahead", "viterbi"], required=True)
     p.add_argument("--length-select", choices=["raw", "normalized"], default="normalized")
     p.add_argument("--max-steps", type=int)
     p = add("gradcheck", cmd_gradcheck)
     p.add_argument("--step", type=float, default=1e-6)
-    p = add("oracle", cmd_oracle, target=False)
+    p = add("oracle", cmd_oracle, ("lattice", "mode", "target"), required_target=False)
     p.add_argument("--mode", choices=["logprob", "posterior", "argmax"], required=True)
     p.add_argument("--target")
     p.add_argument("--length", type=int)
-    p = sub.add_parser("pipeline")
+    p = add("pipeline", cmd_pipeline, ("states", "durations"))
     p.add_argument("--states", required=True)
     p.add_argument("--durations", required=True)
     p.add_argument("--emit-frames", action="store_true")
@@ -344,21 +298,19 @@ def build_parser():
     p.add_argument("--target")
     p.add_argument("--skip-validation", action="store_true")
     p.add_argument("--mu", type=float, default=5.0)
-    p.set_defaults(fn=cmd_pipeline)
-    p = sub.add_parser("bench")
+    p = add("bench", cmd_bench, ("sizes", "target_len", "repeats"))
     p.add_argument("--sizes", required=True, help="comma-separated ascending graph sizes")
     p.add_argument("--target-len", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--vocab-size", type=int, default=16)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args)
     except (LatticeFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

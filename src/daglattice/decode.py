@@ -60,6 +60,16 @@ def _viterbi_tables(logE, emit):
     return delta, phi
 
 
+def _backtrack(phi, step):
+    """Vertices of the path that reaches the final vertex at the step, read
+    back through the phi table."""
+    verts = [phi.shape[1] - 1]
+    for i in range(step, 0, -1):
+        verts.append(int(phi[i, verts[-1]]))
+    verts.reverse()
+    return verts
+
+
 def best_path(lattice: DagLattice, target):
     """Most probable path for the target: (VertexPath, log score).
 
@@ -74,11 +84,7 @@ def best_path(lattice: DagLattice, target):
         raise InfeasibleTarget(
             f"no finite-probability length-{M} path in a {L}-vertex lattice"
         )
-    verts = [L - 1]
-    for i in range(M - 1, 0, -1):
-        verts.append(int(phi[i, verts[-1]]))
-    verts.reverse()
-    return VertexPath(tuple(verts)), score
+    return VertexPath(tuple(_backtrack(phi, M - 1))), score
 
 
 def lookahead(lattice: DagLattice, max_steps=None) -> DecodeResult:
@@ -140,10 +146,7 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     best_i = int(np.argmax(crit))  # shortest length wins exact ties
     # a path always exists: vertex L-1 is reachable whenever any mass is,
     # and the L=1 lattice has the trivial length-1 path
-    verts = [L - 1]
-    for i in range(best_i, 0, -1):
-        verts.append(int(phi[i, verts[-1]]))
-    verts.reverse()
+    verts = _backtrack(phi, best_i)
     return DecodeResult(
         VertexPath(tuple(verts)),
         TargetSequence(toks[verts]),

@@ -159,24 +159,21 @@ def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> Validati
     report = ValidationReport()
     L = lattice.graph_size
     lt, le = lattice.log_transition, lattice.log_emission
+    lower = np.tri(L, dtype=bool)  # entries (k, j) with j <= k
 
-    for k in range(L):
-        row_lower = lt[k, : k + 1]
-        if np.any(row_lower > NEG_INF):
-            report.add("lower_triangle_mass", k, float(np.exp(logsumexp(row_lower))))
+    for k in np.flatnonzero(np.any((lt > NEG_INF) & lower, axis=1)):
+        report.add("lower_triangle_mass", int(k), float(np.exp(logsumexp(lt[k, : k + 1]))))
 
-    for k in range(L - 1):
-        dev = abs(float(logsumexp(lt[k, k + 1 :])))
-        if not dev <= tolerance:  # catches NaN too
-            report.add("transition_row_norm", k, dev)
+    dev = np.abs(logsumexp(np.where(lower[:-1], NEG_INF, lt[:-1]), axis=1))
+    for k in np.flatnonzero(~(dev <= tolerance)):  # catches NaN too
+        report.add("transition_row_norm", int(k), dev[k])
     last = lt[L - 1]
     if np.any(last > NEG_INF):
         report.add("final_row_mass", L - 1, float(np.exp(logsumexp(last))))
 
-    for j in range(L):
-        dev = abs(float(logsumexp(le[j])))
-        if not dev <= tolerance:
-            report.add("emission_row_norm", j, dev)
+    dev = np.abs(logsumexp(le, axis=1))
+    for j in np.flatnonzero(~(dev <= tolerance)):
+        report.add("emission_row_norm", int(j), dev[j])
 
     for name, mat in (("transition", lt), ("emission", le)):
         pos = np.argwhere(mat > 0.0)
@@ -244,19 +241,16 @@ def lattice_from_json_obj(obj: dict) -> DagLattice:
     hs = obj.get("hidden_states")
     if hs is not None:
         hs = np.array(hs, dtype=np.float64)
-    try:
-        return DagLattice(
-            int(obj["graph_size"]), int(obj["vocab_size"]), int(obj["hidden_dim"]),
-            lt, le, hs,
-        )
-    except DimensionError:
-        raise
+    return DagLattice(
+        int(obj["graph_size"]), int(obj["vocab_size"]), int(obj["hidden_dim"]),
+        lt, le, hs,
+    )
 
 
 def save_lattice(lattice: DagLattice, path, fmt="json"):
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(lattice_to_json_obj(lattice), fh)
+            fh.write(json.dumps(lattice_to_json_obj(lattice)))
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
@@ -331,4 +325,4 @@ def load_target(path) -> TargetSequence:
 
 def save_target(target: TargetSequence, path):
     with open(path, "w") as fh:
-        json.dump([int(t) for t in target.tokens], fh)
+        fh.write(json.dumps([int(t) for t in target.tokens]))

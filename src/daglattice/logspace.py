@@ -33,12 +33,3 @@ def logsumexp(a, axis=None):
         out = np.squeeze(safe, axis=axis) + np.log(s)
     return out
 
-
-def logaddexp(x, y):
-    """Two-argument log-space addition; exact on -inf operands."""
-    if x == NEG_INF:
-        return y
-    if y == NEG_INF:
-        return x
-    m = max(x, y)
-    return m + math.log(math.exp(x - m) + math.exp(y - m))

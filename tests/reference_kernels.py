@@ -3,9 +3,10 @@
 These are the straightforward forms of the dp and decode recursions: every
 forward/backward step is a full logsumexp over an L x L log-space
 temporary, the NLL gradient sums the (M-1, L, L) edge-posterior tensor, and
-the max-plus step reduces along axis 0. They are slow but obviously right;
-tests compare dp.forward/backward/posterior/nll_grad and the decode tables
-against them.
+the max-plus step reduces along axis 0, and validation checks one row at a
+time. They are slow but obviously right; tests compare
+dp.forward/backward/posterior/nll_grad, the decode tables and
+lattice.validate against them.
 """
 
 import numpy as np
@@ -69,3 +70,30 @@ def viterbi_tables(logE, emit):
         phi[i] = np.argmax(cand, axis=0)
         delta[i] = cand[phi[i], np.arange(L)] + emit[i]
     return delta, phi
+
+
+def validate(lattice, tolerance):
+    """(kind, row, deviation) triples, one row at a time."""
+    out = []
+    L = lattice.graph_size
+    lt, le = lattice.log_transition, lattice.log_emission
+    for k in range(L):
+        row_lower = lt[k, : k + 1]
+        if np.any(row_lower > NEG_INF):
+            out.append(("lower_triangle_mass", k, float(np.exp(logsumexp(row_lower)))))
+    for k in range(L - 1):
+        dev = abs(float(logsumexp(lt[k, k + 1 :])))
+        if not dev <= tolerance:
+            out.append(("transition_row_norm", k, dev))
+    last = lt[L - 1]
+    if np.any(last > NEG_INF):
+        out.append(("final_row_mass", L - 1, float(np.exp(logsumexp(last)))))
+    for j in range(L):
+        dev = abs(float(logsumexp(le[j])))
+        if not dev <= tolerance:
+            out.append(("emission_row_norm", j, dev))
+    for name, mat in (("transition", lt), ("emission", le)):
+        for row in range(mat.shape[0]):
+            if np.any(mat[row] > 0.0):
+                out.append((f"positive_{name}_entry", row, float(np.max(mat[row]))))
+    return out

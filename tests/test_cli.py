@@ -183,3 +183,71 @@ def test_bench_equal_sizes_ratio_near_one(capsys):
     assert code == 0
     rows = json.loads(out)["outputs"]["rows"]
     assert 0.8 <= rows[1]["ratio_to_prev"] <= 1.25
+
+
+# (argv with {d} for the fixture directory, expected inputs in order,
+#  expected seed or None, expected exit code)
+REPORT_CONTRACT = [
+    (["score", "--lattice", "{d}/single.json", "--target", "{d}/long_tgt.json"],
+     [("lattice", "{d}/single.json"), ("target", "{d}/long_tgt.json")], None, 3),
+    (["posterior", "--lattice", "{d}/lat.json", "--target", "{d}/tgt.json"],
+     [("lattice", "{d}/lat.json"), ("target", "{d}/tgt.json")], None, 0),
+    (["expect", "--lattice", "{d}/lat.bin", "--target", "{d}/tgt.json"],
+     [("lattice", "{d}/lat.bin"), ("target", "{d}/tgt.json")], None, 0),
+    (["bestpath", "--target", "{d}/tgt.json", "--lattice", "{d}/lat.json"],
+     [("lattice", "{d}/lat.json"), ("target", "{d}/tgt.json")], None, 0),
+    (["glance", "--lattice", "{d}/lat.json", "--target", "{d}/tgt.json",
+      "--tau", "0.5", "--seed", "3"],
+     [("lattice", "{d}/lat.json"), ("target", "{d}/tgt.json")], 3, 0),
+    (["decode", "--lattice", "{d}/lat.json", "--strategy", "viterbi"],
+     [("lattice", "{d}/lat.json")], None, 0),
+    (["gradcheck", "--lattice", "{d}/lat.json", "--target", "{d}/tgt.json"],
+     [("lattice", "{d}/lat.json"), ("target", "{d}/tgt.json")], None, 0),
+    (["oracle", "--target", "{d}/tgt.json", "--mode", "logprob", "--lattice", "{d}/lat.json"],
+     [("lattice", "{d}/lat.json"), ("mode", "logprob"), ("target", "{d}/tgt.json")], None, 0),
+    (["oracle", "--lattice", "{d}/lat.json", "--mode", "argmax", "--length", "3"],
+     [("lattice", "{d}/lat.json"), ("mode", "argmax")], None, 0),
+    (["pipeline", "--durations", "{d}/dur.json", "--states", "{d}/states.json",
+      "--lattice", "{d}/lat.json"],
+     [("states", "{d}/states.json"), ("durations", "{d}/dur.json")], None, 0),
+    (["bench", "--sizes", "8,16", "--target-len", "2", "--repeats", "1", "--seed", "4"],
+     [("sizes", [8, 16]), ("target_len", 2), ("repeats", 1)], 4, 0),
+]
+
+
+@pytest.mark.parametrize("argv, inputs, seed, exit_code", REPORT_CONTRACT,
+                         ids=[f"{c[0][0]}-{i}" for i, c in enumerate(REPORT_CONTRACT)])
+def test_report_contract(fixture_dir, capsys, argv, inputs, seed, exit_code):
+    (fixture_dir / "states.json").write_text(json.dumps([[1.0], [2.0]]))
+    (fixture_dir / "dur.json").write_text(json.dumps([2, 3]))
+    fill = lambda v: v.format(d=fixture_dir) if isinstance(v, str) else v  # noqa: E731
+    code, out = run(capsys, *map(fill, argv))
+    report = json.loads(out)
+    assert code == exit_code
+    assert list(report) == ["command", "inputs", "outputs"] + (["seed"] if seed is not None else [])
+    assert report["command"] == argv[0]
+    assert list(report["inputs"].items()) == [(k, fill(v)) for k, v in inputs]
+    assert report.get("seed") == seed
+
+
+def test_seed_falls_back_to_environment(fixture_dir, capsys, monkeypatch):
+    args = ("glance", "--lattice", str(fixture_dir / "lat.json"),
+            "--target", str(fixture_dir / "tgt.json"), "--tau", "0.5")
+    monkeypatch.setenv("DAGLATTICE_SEED", "9")
+    _, from_env = run(capsys, *args)
+    monkeypatch.delenv("DAGLATTICE_SEED")
+    _, from_flag = run(capsys, *args, "--seed", "9")
+    assert json.loads(from_env)["seed"] == 9
+    assert from_env == from_flag
+    _, default = run(capsys, *args)
+    assert json.loads(default)["seed"] == 0
+
+
+def test_seed_does_not_carry_over_between_calls(fixture_dir, capsys, monkeypatch):
+    monkeypatch.delenv("DAGLATTICE_SEED", raising=False)
+    args = ("glance", "--lattice", str(fixture_dir / "lat.json"),
+            "--target", str(fixture_dir / "tgt.json"), "--tau", "0.5")
+    _, first = run(capsys, *args, "--seed", "5")
+    _, second = run(capsys, *args)
+    assert json.loads(first)["seed"] == 5
+    assert json.loads(second)["seed"] == 0

@@ -11,6 +11,7 @@ from daglattice import (
 from daglattice.lattice import DimensionError, LatticeFormatError, lattice_from_json_obj
 from daglattice.logspace import NEG_INF
 
+import reference_kernels as ref
 from conftest import lattice_from_probs
 
 
@@ -39,6 +40,58 @@ def test_validate_flags_row_normalization_deviation():
     [v] = [v for v in report.violations if v.kind == "transition_row_norm"]
     assert v.index == 0
     assert v.deviation == pytest.approx(-np.log(0.9), abs=1e-12)
+
+
+def test_validate_reports_every_kind_in_order():
+    lat = build_random(5, 3, 0, 1)
+    lt, le = np.array(lat.log_transition), np.array(lat.log_emission)
+    lt[2, 1] = -1.0  # lower_triangle_mass at row 2
+    lt[1, 3] += 0.5  # transition_row_norm at row 1
+    lt[4, 4] = -2.0  # final_row_mass and lower_triangle_mass at row 4
+    le[3, 0] -= 0.5  # emission_row_norm at row 3
+    lt[0, 2] = 0.5  # positive_transition_entry and transition_row_norm at row 0
+    le[1, 2] = 0.25  # positive_emission_entry and emission_row_norm at row 1
+    report = validate(DagLattice(5, 3, 0, lt, le))
+    assert [(v.kind, v.index) for v in report.violations] == [
+        ("lower_triangle_mass", 2),
+        ("lower_triangle_mass", 4),
+        ("transition_row_norm", 0),
+        ("transition_row_norm", 1),
+        ("final_row_mass", 4),
+        ("emission_row_norm", 1),
+        ("emission_row_norm", 3),
+        ("positive_transition_entry", 0),
+        ("positive_emission_entry", 1),
+    ]
+    assert all(type(v.index) is int for v in report.violations)
+
+
+def _corrupted(rng):
+    """A random lattice with a few entries overwritten by values that break
+    one invariant or another: backward mass, denormalised rows, removed
+    edges, positive entries, NaN."""
+    L, V = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    lat = build_random(L, V, 0, int(rng.integers(1 << 30)))
+    lt, le = np.array(lat.log_transition), np.array(lat.log_emission)
+    for _ in range(int(rng.integers(0, 4))):
+        mat = lt if rng.random() < 0.6 else le
+        r, c = int(rng.integers(mat.shape[0])), int(rng.integers(mat.shape[1]))
+        mat[r, c] = rng.choice([NEG_INF, np.nan, 0.5, mat[r, c] + 1e-3, -3.0,
+                                mat[r, c] - 1e-6])
+    return DagLattice(L, V, 0, lt, le)
+
+
+def test_validate_matches_row_by_row_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        lat = _corrupted(rng)
+        got = [(v.kind, v.index, v.deviation) for v in validate(lat).violations]
+        want = ref.validate(lat, 1e-4)
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        # the row reductions sum in another order, so deviations may differ
+        # in the last bits
+        np.testing.assert_allclose([g[2] for g in got], [w[2] for w in want],
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_build_random_single_vertex():
