@@ -250,6 +250,8 @@ def lattice_from_json_obj(obj: dict) -> DagLattice:
 def save_lattice(lattice: DagLattice, path, fmt="json"):
     if fmt == "json":
         with open(path, "w") as fh:
+            # json.dumps runs the C encoder; json.dump streams through the
+            # pure-Python one, at about twice the cost for the same bytes
             fh.write(json.dumps(lattice_to_json_obj(lattice)))
     elif fmt == "binary":
         with open(path, "wb") as fh:
