@@ -143,6 +143,8 @@ def cmd_gradcheck(args, lat, target):
 
 
 def cmd_oracle(args, lat, target):
+    if args.mode != "argmax" and target is None:
+        raise ValueError(f"--target is required with --mode {args.mode}")
     if args.mode == "logprob":
         lm = oracle.enumerate_logprob(lat, target)
         return {"log_marginal": lm, "nll": float("inf") if lm == NEG_INF else -lm}

@@ -23,6 +23,19 @@ exact log-space reduction, so no precision is lost at the extremes.
 nll_grad sums the edge posteriors over steps as one (L x (M-1)) by
 ((M-1) x L) product with per-step max shifts, times E, and never builds the
 (M-1, L, L) pairwise tensor; posterior(with_pairwise=True) still does.
+
+One training step calls nll, nll_grad and expected_states on the same
+lattice and target, and all three derive from the same two tables. Each
+lattice therefore keeps a one-entry memo of its tables for the last target
+it saw, keyed by the target's int64 token bytes: the forward table once
+log_marginal or nll has run, and the backward table, log marginal and gamma
+once a smoothed quantity has. A different target replaces the whole entry,
+so an entry only ever holds the tables of its own key. The memo fills
+itself through the public forward and backward, which stay uncached: each
+call of those runs the recurrence. It never hands out its arrays; every
+returned table, gradient and state is a fresh array the caller owns. It
+relies on the lattice's arrays being read-only: mutating them after
+construction is unsupported.
 """
 
 import math
@@ -178,8 +191,38 @@ def backward(lattice: DagLattice, target) -> BackwardTable:
     return BackwardTable(lb)
 
 
+class _Memo:
+    """DP tables of one lattice for one target, filled on first use."""
+
+    __slots__ = ("key", "forward", "smoothed")
+
+    def __init__(self, key):
+        self.key = key
+        self.forward = None  # ForwardTable
+        self.smoothed = None  # (ForwardTable, BackwardTable, logZ, gamma)
+
+
+def _memo(lattice: DagLattice, y) -> _Memo:
+    """The lattice's memo entry for target y, replaced whole on a new target."""
+    key = y.tobytes()
+    memo = lattice.__dict__.get("_dp_memo")
+    if memo is None or memo.key != key:
+        memo = _Memo(key)
+        lattice.__dict__["_dp_memo"] = memo
+    return memo
+
+
+def _forward_table(lattice: DagLattice, y, memo: _Memo) -> ForwardTable:
+    if memo.forward is None:
+        ft = forward(lattice, y)
+        ft.log_alpha.setflags(write=False)
+        memo.forward = ft
+    return memo.forward
+
+
 def log_marginal(lattice: DagLattice, target) -> float:
-    return forward(lattice, target).log_marginal
+    y = _tokens(lattice, target)
+    return _forward_table(lattice, y, _memo(lattice, y)).log_marginal
 
 
 def nll(lattice: DagLattice, target) -> float:
@@ -189,15 +232,22 @@ def nll(lattice: DagLattice, target) -> float:
 
 
 def _smoothed(lattice: DagLattice, y):
-    """Forward and backward tables, log marginal and gamma of a feasible target."""
-    ft = forward(lattice, y)
-    bt = backward(lattice, y)
-    logZ = ft.log_marginal
-    if logZ == NEG_INF:
-        raise InfeasibleTarget(
-            f"target of length {y.size} has no path in a {lattice.graph_size}-vertex lattice"
-        )
-    return ft, bt, logZ, np.exp(ft.log_alpha + bt.log_beta - logZ)
+    """Forward and backward tables, log marginal and gamma of a feasible
+    target, from the lattice's memo; the arrays are read-only."""
+    memo = _memo(lattice, y)
+    if memo.smoothed is None:
+        ft = _forward_table(lattice, y, memo)
+        logZ = ft.log_marginal
+        if logZ == NEG_INF:
+            raise InfeasibleTarget(
+                f"target of length {y.size} has no path in a {lattice.graph_size}-vertex lattice"
+            )
+        bt = backward(lattice, y)
+        gamma = np.exp(ft.log_alpha + bt.log_beta - logZ)
+        bt.log_beta.setflags(write=False)
+        gamma.setflags(write=False)
+        memo.smoothed = ft, bt, logZ, gamma
+    return memo.smoothed
 
 
 def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTable:
@@ -221,15 +271,15 @@ def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTabl
                 - logZ,
                 out=xi[i],
             )
-    return PosteriorTable(gamma, xi)
+    return PosteriorTable(gamma.copy(), xi)
 
 
 def expected_states(lattice: DagLattice, target) -> ExpectedStates:
     """Posterior-weighted combination of vertex hidden states, z = gamma @ V."""
     if lattice.hidden_dim == 0 or lattice.hidden_states is None:
         raise MissingHiddenStates("lattice has no hidden states (hidden_dim = 0)")
-    post = posterior(lattice, target)
-    return ExpectedStates(post.gamma @ lattice.hidden_states)
+    gamma = _smoothed(lattice, _tokens(lattice, target))[3]
+    return ExpectedStates(gamma @ lattice.hidden_states)
 
 
 def nll_grad(lattice: DagLattice, target):

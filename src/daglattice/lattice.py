@@ -32,7 +32,15 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class DagLattice:
-    """Immutable (E, P, V) triple in log space plus dimensions."""
+    """Immutable (E, P, V) triple in log space plus dimensions.
+
+    The arrays are made read-only on construction, and mutating them
+    afterwards is unsupported: ``dp`` keeps a one-entry memo of the forward
+    and backward tables for the last target on the instance (a private
+    ``_dp_memo`` attribute outside the dataclass fields, so it takes no part
+    in ``==``, ``repr`` or serialization), and trusts the arrays not to
+    change under it.
+    """
 
     graph_size: int
     vocab_size: int

@@ -251,3 +251,14 @@ def test_seed_does_not_carry_over_between_calls(fixture_dir, capsys, monkeypatch
     _, second = run(capsys, *args)
     assert json.loads(first)["seed"] == 5
     assert json.loads(second)["seed"] == 0
+
+
+@pytest.mark.parametrize("mode", ["logprob", "posterior"])
+def test_oracle_without_target_is_a_usage_error(fixture_dir, capsys, mode):
+    code = main(["--no-timing", "oracle", "--mode", mode,
+                 "--lattice", str(fixture_dir / "lat.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "--target" in captured.err
+    assert "internal error" not in captured.err
