@@ -32,6 +32,10 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_SHAPE = 4
 
+# each `bench` repeat times enough single calls per size to last at least
+# this long, so that its statistics never rest on a few sub-millisecond calls
+BENCH_SAMPLE_S = 0.005
+
 
 def _render(value, pretty, indent=0):
     """JSON with floats at 17 significant digits and infinities as strings."""
@@ -187,6 +191,24 @@ def cmd_pipeline(args, lat, target):
     return outputs
 
 
+def _forward_backward_s(lat, target):
+    """Seconds one forward and one backward pass take."""
+    t0 = time.perf_counter()
+    dp.forward(lat, target)
+    dp.backward(lat, target)
+    return time.perf_counter() - t0
+
+
+def _calls_per_sample(lat, target):
+    """Calls per timed sample, timeit-style: single calls are timed until
+    they add up to BENCH_SAMPLE_S, and a sample makes enough calls to last
+    that long at the fastest of them, which no slow outlier can shrink."""
+    times = []
+    while sum(times) < BENCH_SAMPLE_S:
+        times.append(_forward_backward_s(lat, target))
+    return math.ceil(BENCH_SAMPLE_S / min(times))
+
+
 def cmd_bench(args, lat, target):
     sizes = [int(s) for s in args.sizes.split(",")]
     if sizes != sorted(sizes):
@@ -195,16 +217,19 @@ def cmd_bench(args, lat, target):
     rng = np.random.default_rng(args.seed)
     lats = [build_random(L, args.vocab_size, 0, args.seed) for L in sizes]
     target = rng.integers(0, args.vocab_size, size=args.target_len)
-    times = [[] for _ in sizes]
     for lat in lats:  # warm-up, excluded from timing
-        dp.forward(lat, target)
-    # repeats interleave across sizes so machine-speed drift cancels in ratios
+        _forward_backward_s(lat, target)
+    numbers = [_calls_per_sample(lat, target) for lat in lats]
+    times = [[] for _ in sizes]
     for _ in range(args.repeats):
-        for slot, lat in zip(times, lats):
-            t0 = time.perf_counter()
-            dp.forward(lat, target)
-            dp.backward(lat, target)
-            slot.append((time.perf_counter() - t0) * 1000.0)
+        # calls alternate across sizes within each sample, so that every
+        # size sees the same machine speed and drift cancels in the ratios;
+        # the statistics are over single calls, so the median shrugs off a
+        # call that a preemption stretched
+        for k in range(max(numbers)):
+            for slot, lat, number in zip(times, lats, numbers):
+                if k < number:
+                    slot.append(_forward_backward_s(lat, target) * 1000.0)
     rows = []
     prev_med = None
     for L, slot in zip(sizes, times):

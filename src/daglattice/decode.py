@@ -37,26 +37,39 @@ class GlanceAssignment:
     tau: float
 
 
-def _viterbi_tables(logE, emit):
+def _viterbi_tables(logE, emit, width):
     """delta/phi tables of the max-plus recursion, one row per row of emit.
 
     delta[0] is one-hot at vertex 0 with score emit[0, 0]; for i >= 1
     delta[i, j] = max_k delta[i-1, k] + logE[k, j] + emit[i, j] and phi[i, j]
-    is the first maximizing k. Each step adds into a preallocated (j, k)
-    buffer against a transposed copy of log E, taken once per call, so the
-    maximum runs along the contiguous axis.
+    is the first maximizing k. Step i computes only the band of vertices
+    j in [i, min(i + width, L)): a strictly increasing path is at a vertex
+    j >= i at step i, and one that must end at vertex L-1 at step n-1 is at
+    j <= L-n+i, so such a caller passes width = L - n + 1. Entries outside
+    the band stay -inf/0. Each step adds the contiguous rows logE_T[i:hi] of a
+    transposed copy of log E, taken once per call, into a preallocated
+    (j, k) buffer, so the maximum runs along the contiguous axis.
+
+    Every k outside the band has delta -inf or log E[k, j] -inf for a band
+    vertex j, because log E is -inf on and below the diagonal of a valid
+    lattice, so each band entry is bit-identical to the full-table
+    recursion and every path read back from a band entry stays in the band.
     """
     n, L = emit.shape
     logE_T = np.ascontiguousarray(logE.T)
-    cand = np.empty((L, L))
-    vertices = np.arange(L)
+    cand = np.empty((max(0, min(width, L)), L))
+    rows = np.arange(cand.shape[0])
     delta = np.full((n, L), NEG_INF)
     phi = np.zeros((n, L), dtype=np.int64)
     delta[0, 0] = emit[0, 0]
     for i in range(1, n):
-        np.add(logE_T, delta[i - 1], out=cand)  # cand[j, k] = delta[i-1, k] + logE[k, j]
-        np.argmax(cand, axis=1, out=phi[i])
-        np.add(cand[vertices, phi[i]], emit[i], out=delta[i])
+        hi = min(i + width, L)
+        if hi <= i:
+            break
+        c = cand[: hi - i]
+        np.add(logE_T[i:hi], delta[i - 1], out=c)  # c[j - i, k] = delta[i-1, k] + logE[k, j]
+        np.argmax(c, axis=1, out=phi[i, i:hi])
+        np.add(c[rows[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
     return delta, phi
 
 
@@ -74,11 +87,15 @@ def best_path(lattice: DagLattice, target):
     """Most probable path for the target: (VertexPath, log score).
 
     delta_i(j) = max_{k<j} delta_{i-1}(k) + log E[k, j] + log P[j, y_i],
-    phi stores the argmax predecessor; backtrack from vertex L-1.
+    phi stores the argmax predecessor; backtrack from vertex L-1. A length-M
+    path is at a vertex j <= L-M+i at step i, so each step scans only the
+    L-M+1 vertices [i, L-M+i] (width L-M+1 in _viterbi_tables).
     """
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    delta, phi = _viterbi_tables(lattice.log_transition, lattice.log_emission[:, y].T)
+    delta, phi = _viterbi_tables(
+        lattice.log_transition, lattice.log_emission[:, y].T, L - M + 1
+    )
     score = float(delta[M - 1, L - 1])
     if score == NEG_INF:
         raise InfeasibleTarget(
@@ -127,7 +144,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     Viterbi pass scores every candidate length. The length with the best
     per-step average score wins by default ("normalized"); "raw" compares
     unnormalized scores, which favors short paths. The returned
-    joint_logprob is always unnormalized.
+    joint_logprob is always unnormalized. Every length is scored, so step i
+    scans the vertices j >= i (width L in _viterbi_tables).
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")
@@ -137,7 +155,7 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     emit = lattice.log_emission[np.arange(L), toks]
 
     # one row per step, all the same: every step emits the per-vertex best
-    delta, phi = _viterbi_tables(logE, np.broadcast_to(emit, (L, L)))  # (step, vertex)
+    delta, phi = _viterbi_tables(logE, np.broadcast_to(emit, (L, L)), L)  # (step, vertex)
 
     finals = delta[:, L - 1]  # index i -> path length i+1
     lengths = np.arange(1, L + 1, dtype=np.float64)

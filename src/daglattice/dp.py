@@ -34,8 +34,8 @@ so an entry only ever holds the tables of its own key. The memo fills
 itself through the public forward and backward, which stay uncached: each
 call of those runs the recurrence. It never hands out its arrays; every
 returned table, gradient and state is a fresh array the caller owns. It
-relies on the lattice's arrays being read-only: mutating them after
-construction is unsupported.
+cannot go stale: a lattice copies its arrays on construction into
+read-only arrays of its own, so no view a caller kept can change them.
 """
 
 import math

@@ -34,12 +34,13 @@ class DimensionError(ValueError):
 class DagLattice:
     """Immutable (E, P, V) triple in log space plus dimensions.
 
-    The arrays are made read-only on construction, and mutating them
-    afterwards is unsupported: ``dp`` keeps a one-entry memo of the forward
-    and backward tables for the last target on the instance (a private
+    The lattice owns its arrays: construction copies every array it is
+    given into a new read-only float64 array, so no view the caller kept
+    can change it afterwards. ``dp`` relies on that for its one-entry memo
+    of the forward and backward tables for the last target (a private
     ``_dp_memo`` attribute outside the dataclass fields, so it takes no part
-    in ``==``, ``repr`` or serialization), and trusts the arrays not to
-    change under it.
+    in ``==``, ``repr`` or serialization): a memoised table always belongs
+    to the arrays the lattice holds.
     """
 
     graph_size: int
@@ -50,8 +51,8 @@ class DagLattice:
     hidden_states: np.ndarray | None = None  # (L, d) or None when d == 0
 
     def __post_init__(self):
-        lt = np.ascontiguousarray(self.log_transition, dtype=np.float64)
-        le = np.ascontiguousarray(self.log_emission, dtype=np.float64)
+        lt = np.array(self.log_transition, dtype=np.float64, order="C")
+        le = np.array(self.log_emission, dtype=np.float64, order="C")
         object.__setattr__(self, "log_transition", lt)
         object.__setattr__(self, "log_emission", le)
         if self.graph_size < 1 or self.vocab_size < 1 or self.hidden_dim < 0:
@@ -67,7 +68,7 @@ class DagLattice:
         if d > 0:
             if self.hidden_states is None:
                 raise DimensionError("hidden_dim > 0 but hidden_states absent")
-            hs = np.ascontiguousarray(self.hidden_states, dtype=np.float64)
+            hs = np.array(self.hidden_states, dtype=np.float64, order="C")
             if hs.shape != (L, d):
                 raise DimensionError(f"hidden_states shape {hs.shape}, expected {(L, d)}")
             object.__setattr__(self, "hidden_states", hs)
@@ -203,8 +204,10 @@ def build_random(graph_size, vocab_size, hidden_dim=0, seed=0) -> DagLattice:
     for k in range(L - 1):
         w = rng.random(L - k - 1) + 0.1
         lt[k, k + 1 :] = np.log(w / w.sum())
-    w = rng.random((L, V)) + 0.1
-    le = np.log(w / w.sum(axis=1, keepdims=True))
+    # in place, so that only one (L, V) array is alive when DagLattice copies it
+    le = rng.random((L, V)) + 0.1
+    le /= le.sum(axis=1, keepdims=True)
+    np.log(le, out=le)
     hs = rng.uniform(-1.0, 1.0, size=(L, d)) if d > 0 else None
     return DagLattice(L, V, d, lt, le, hs)
 
@@ -221,8 +224,20 @@ def _null_to_inf(rows, name):
             [[NEG_INF if v is None else float(v) for v in row] for row in rows],
             dtype=np.float64,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LatticeFormatError(f"field {name!r}: {exc}") from exc
+
+
+def _number_rows(rows, name):
+    """Rows of JSON numbers as a float64 matrix; null, strings and booleans
+    are format errors that name the field."""
+    try:
+        bad = [v for row in rows for v in row if type(v) not in (int, float)]
+        if not bad:
+            return np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LatticeFormatError(f"field {name!r}: {exc}") from exc
+    raise LatticeFormatError(f"field {name!r}: entry {json.dumps(bad[0])[:40]} is not a number")
 
 
 def lattice_to_json_obj(lattice: DagLattice) -> dict:
@@ -244,15 +259,17 @@ def lattice_from_json_obj(obj: dict) -> DagLattice:
     for key in ("graph_size", "vocab_size", "hidden_dim", "log_transition", "log_emission"):
         if key not in obj:
             raise LatticeFormatError(f"missing field {key!r}")
+    for key in ("graph_size", "vocab_size", "hidden_dim"):
+        if type(obj[key]) is not int:  # bool is a subclass of int
+            raise LatticeFormatError(
+                f"field {key!r}: {json.dumps(obj[key])[:40]} is not an integer"
+            )
     lt = _null_to_inf(obj["log_transition"], "log_transition")
     le = _null_to_inf(obj["log_emission"], "log_emission")
     hs = obj.get("hidden_states")
     if hs is not None:
-        hs = np.array(hs, dtype=np.float64)
-    return DagLattice(
-        int(obj["graph_size"]), int(obj["vocab_size"]), int(obj["hidden_dim"]),
-        lt, le, hs,
-    )
+        hs = _number_rows(hs, "hidden_states")
+    return DagLattice(obj["graph_size"], obj["vocab_size"], obj["hidden_dim"], lt, le, hs)
 
 
 def save_lattice(lattice: DagLattice, path, fmt="json"):
@@ -313,8 +330,9 @@ def _load_binary_body(fh, path):
         )
 
     def read_mat(rows, cols):
+        # a read-only view of the bytes; DagLattice copies it into its own array
         buf = fh.read(rows * cols * 8)
-        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols)
 
     lt = read_mat(L, L)
     le = read_mat(L, V)

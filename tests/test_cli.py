@@ -262,3 +262,34 @@ def test_oracle_without_target_is_a_usage_error(fixture_dir, capsys, mode):
     assert captured.out == ""
     assert "--target" in captured.err
     assert "internal error" not in captured.err
+
+
+MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)
+    (("graph_size",), [6]),
+    (("graph_size",), 6.9),
+    (("graph_size",), True),
+    (("vocab_size",), "4"),
+    (("hidden_dim",), 3.0),
+    (("hidden_states", 2, 1), None),
+    (("hidden_states", 0, 0), "0.5"),
+    (("log_transition", 0, 1), 10**400),  # a JSON integer no float can hold
+]
+
+
+@pytest.mark.parametrize("where, value", MALFORMED_FIELDS,
+                         ids=[f"{w[0]}-{i}" for i, (w, _) in enumerate(MALFORMED_FIELDS)])
+def test_malformed_json_fields_exit_2_and_name_the_field(fixture_dir, capsys, where, value):
+    obj = json.loads((fixture_dir / "lat.json").read_text())
+    *parents, last = where
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    (fixture_dir / "bad.json").write_text(json.dumps(obj))
+    code = main(["--no-timing", "decode", "--strategy", "viterbi",
+                 "--lattice", str(fixture_dir / "bad.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert repr(where[0]) in captured.err
+    assert "internal error" not in captured.err

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from daglattice import build_random, dp, save_lattice
+from daglattice import DagLattice, build_random, dp, save_lattice
 from daglattice.dp import InfeasibleTarget
 
 GRAPH, VOCAB, HIDDEN, SEED = 24, 6, 4, 7
@@ -150,6 +150,24 @@ def test_callers_own_their_outputs():
     dp.backward(lat, y).log_beta[:] = 0.0
 
     assert_same_step(step(lat, y), want)
+
+
+def test_views_kept_by_the_caller_cannot_stale_the_memo():
+    base = fresh()
+    lt = np.array(base.log_transition)
+    le = np.array(base.log_emission)
+    hs = np.array(base.hidden_states)
+    views = (lt[:, 1:], le[::2], hs.T)  # taken before construction
+    lat = DagLattice(GRAPH, VOCAB, HIDDEN, lt, le, hs)
+    for arr, own in zip((lt, le, hs), (lat.log_transition, lat.log_emission, lat.hidden_states)):
+        assert not np.shares_memory(arr, own)
+    y = targets()[0]
+    before = step(lat, y)
+    views[0][0] -= 0.25
+    views[1][0] -= 0.5
+    views[2][0] += 1.0
+    assert_same_step(step(lat, y), before)
+    assert_same_step(before, step(fresh(), y))
 
 
 def test_memo_is_invisible_to_equality_repr_and_saving(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from daglattice import DagLattice, InfeasibleTarget, build_random, dp, nll_grad, posterior
+from daglattice import DagLattice, InfeasibleTarget, build_random, decode, dp, nll_grad, posterior
 from daglattice.cli import main
 from daglattice.decode import _viterbi_tables
 from daglattice.lattice import BINARY_MAGIC, BINARY_VERSION, LatticeFormatError, load_lattice
@@ -116,16 +116,94 @@ def test_benchmark_shaped_lattice_needs_no_fallback(monkeypatch):
     _assert_log_close(dp.backward(lat, y).log_beta, want_b)
 
 
+def _band(n, L, width):
+    """(n, L) mask of the entries _viterbi_tables computes: row 0 is vertex 0
+    alone, row i >= 1 the vertices [i, min(i + width, L))."""
+    i, j = np.indices((n, L))
+    band = (j >= i) & (j < i + width)
+    band[0] = False
+    band[0, 0] = True
+    return band
+
+
 def test_viterbi_tables_match_axis0_reference():
     for lat, y in _lattice_mix(300, seed=12):
         logE, logP = lat.log_transition, lat.log_emission
-        L = lat.graph_size
+        L, M = lat.graph_size, len(y)
         best_emit = logP[np.arange(L), np.argmax(logP, axis=1)]
-        for emit in (logP[:, y].T, np.broadcast_to(best_emit, (L, L))):
-            delta, phi = _viterbi_tables(logE, emit)
+        for emit, width in ((logP[:, y].T, L - M + 1), (np.broadcast_to(best_emit, (L, L)), L)):
+            delta, phi = _viterbi_tables(logE, emit, width)
             ref_delta, ref_phi = ref.viterbi_tables(logE, emit)
-            assert np.array_equal(delta, ref_delta)
-            assert np.array_equal(phi, ref_phi)
+            band = _band(*emit.shape, width)
+            # inside the band bit-identical to the full table, outside untouched
+            assert np.array_equal(delta[band], ref_delta[band])
+            assert np.array_equal(phi[band], ref_phi[band])
+            assert np.all(delta[~band] == NEG_INF)
+            assert np.all(phi[~band] == 0)
+
+
+def _tie_heavy_lattice(rng):
+    """Entries from a two-value set, so many candidates tie exactly."""
+    L = int(rng.integers(1, 16))
+    V = int(rng.integers(1, 4))
+    lt = np.where(rng.random((L, L)) < 0.5, -1.0, -2.0)
+    lt[np.tril_indices(L)] = NEG_INF
+    le = np.where(rng.random((L, V)) < 0.5, -0.5, -1.5)
+    return DagLattice(L, V, 0, lt, le)
+
+
+def _masked_lattice(rng):
+    """Random entries with a share of edges and emissions masked to -inf."""
+    L = int(rng.integers(1, 20))
+    V = int(rng.integers(1, 5))
+    lt = _log_entries(rng, (L, L), rng.choice([0.3, 0.6, 0.9]))
+    lt[np.tril_indices(L)] = NEG_INF
+    le = _log_entries(rng, (L, V), 0.3)
+    return DagLattice(L, V, 0, lt, le)
+
+
+def _decode_mix(seed):
+    rng = np.random.default_rng(seed)
+    yield DagLattice(1, 2, 0, np.full((1, 1), NEG_INF), np.log([[0.25, 0.75]]))
+    for t in range(120):
+        yield (_tie_heavy_lattice, _masked_lattice)[t % 2](rng)
+    for lat, _ in _lattice_mix(60, seed + 1):
+        yield lat
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InfeasibleTarget as exc:
+        return str(exc)
+
+
+def test_decoders_bit_identical_to_full_table_decode(monkeypatch):
+    """best_path and joint_viterbi give the same paths, tokens and scores,
+    bit for bit, as the same decoders run on full (n, L) tables."""
+    rng = np.random.default_rng(13)
+    cases = []
+    for lat in _decode_mix(seed=13):
+        L, V = lat.graph_size, lat.vocab_size
+        targets = [rng.integers(0, V, size=M) for M in sorted({1, L, L + 1, int(rng.integers(1, L + 1))})]
+        cases.append((lat, targets))
+
+    def run_all():
+        out = []
+        for lat, targets in cases:
+            for select in ("normalized", "raw"):
+                r = decode.joint_viterbi(lat, select)
+                out.append((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
+            for y in targets:
+                out.append(_outcome(decode.best_path, lat, y))
+        return out
+
+    got = run_all()
+    monkeypatch.setattr(decode, "_viterbi_tables", lambda logE, emit, width: ref.viterbi_tables(logE, emit))
+    want = run_all()
+    assert got == want  # floats compare with ==, so scores match bit for bit
+    assert sum(isinstance(o, str) for o in got) >= 30  # infeasible targets covered
+    assert sum(isinstance(o, tuple) and len(o) == 2 for o in got) >= 100  # feasible ones
 
 
 def test_nll_grad_never_builds_pairwise_tensor():
