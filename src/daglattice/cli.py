@@ -166,6 +166,8 @@ def cmd_pipeline(args, lat, target):
     states = _matrix(args.states)
     with open(args.durations) as fh:
         durations = json.load(fh)
+    if not isinstance(durations, list) or not all(type(d) is int for d in durations):
+        raise LatticeFormatError(f"{args.durations}: durations must be a JSON array of integers")
     frames = pipeline.length_regulate(states, durations)
     outputs = {"frame_count": int(frames.shape[0])}
     if args.emit_frames:

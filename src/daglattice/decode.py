@@ -22,6 +22,11 @@ from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
 
+# vertices per block of the backward sweep in _suffix_bound; at L = 256,
+# 8 and 16 were fastest of 4, 8, 16, 24 and 32
+SUFFIX_BLOCK = 16
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     path: VertexPath
@@ -37,7 +42,7 @@ class GlanceAssignment:
     tau: float
 
 
-def _viterbi_tables(logE, emit, width):
+def _viterbi_tables(logE, emit, width, done=None):
     """delta/phi tables of the max-plus recursion, one row per row of emit.
 
     delta[0] is one-hot at vertex 0 with score emit[0, 0]; for i >= 1
@@ -54,6 +59,9 @@ def _viterbi_tables(logE, emit, width):
     vertex j, because log E is -inf on and below the diagonal of a valid
     lattice, so each band entry is bit-identical to the full-table
     recursion and every path read back from a band entry stays in the band.
+
+    If given, done(i, delta[i]) is called after each step i >= 1, and the
+    sweep ends once it returns True; the rows after that stay -inf/0.
     """
     n, L = emit.shape
     logE_T = np.ascontiguousarray(logE.T)
@@ -70,6 +78,8 @@ def _viterbi_tables(logE, emit, width):
         np.add(logE_T[i:hi], delta[i - 1], out=c)  # c[j - i, k] = delta[i-1, k] + logE[k, j]
         np.argmax(c, axis=1, out=phi[i, i:hi])
         np.add(c[rows[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
+        if done is not None and done(i, delta[i]):
+            break
     return delta, phi
 
 
@@ -81,6 +91,111 @@ def _backtrack(phi, step):
         verts.append(int(phi[i, verts[-1]]))
     verts.reverse()
     return verts
+
+
+def _greedy(lattice: DagLattice):
+    """Per-vertex emission argmax tokens and their log-probabilities, as
+    read-only arrays computed once per lattice and kept in a private
+    ``_greedy_memo`` entry of its ``__dict__``, as ``dp`` keeps its tables.
+    They cannot go stale: a lattice's arrays are read-only copies."""
+    memo = lattice.__dict__.get("_greedy_memo")
+    if memo is None:
+        logP = lattice.log_emission
+        toks = np.argmax(logP, axis=1)
+        logp = logP[np.arange(lattice.graph_size), toks]
+        toks.setflags(write=False)
+        logp.setflags(write=False)
+        memo = lattice.__dict__["_greedy_memo"] = (toks, logp)
+    return memo
+
+
+def _suffix_bound(logE, emit, lam):
+    """(R, tau) for the joint Viterbi stopping rule, or None when the guards
+    rule the bound out.
+
+    R[j] is the best score of a path from vertex j to L-1 with at least one
+    edge, each vertex k it enters adding logE[., k] + emit[k] - lam;
+    R[L-1] = -inf. One backward sweep over the vertices computes it.
+
+    tau covers float rounding. Every finite entry has magnitude at most A
+    and lam at most 2A (a criterion is a path score over its vertex count),
+    so each sum that the Viterbi steps, this sweep and the bound test round
+    has at most 3L terms and partial sums below 6LA. The test's left side
+    and the criteria it bounds are then off their exact values by at most
+    12 L^2 A 2^-53 in all, plus terms of order L A 2^-53, and
+    tau = 32 L^2 A 2^-53 covers both with a margin.
+    The bound needs a DAG with no NaN, +inf or overflowing path sum, so a
+    lattice with a NaN or +inf entry, with finite mass on or below the
+    diagonal of log E, or whose sums could overflow takes the full sweep.
+    """
+    L = emit.size
+    top = max(logE.max(), emit.max())
+    if not top < np.inf:  # NaN compares False
+        return None
+    finite = logE > NEG_INF
+    if np.any(finite & np.tri(L, dtype=bool)):
+        return None
+    A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
+    if not 8.0 * L * A < np.finfo(np.float64).max:
+        return None
+    w = logE + (emit - lam)
+    R = np.zeros(L)  # R[L-1] = 0 during the sweep: a suffix may end there
+    hi = L - 1  # R is final on [hi, L)
+    while hi > 0:
+        # a block of vertices at a time: one array step for the edges that
+        # leave the block, then plain floats for the edges inside it, which
+        # beats one array step per vertex about twofold at L = 256
+        lo = max(0, hi - SUFFIX_BLOCK)
+        part = (w[lo:hi, hi:] + R[hi:]).max(axis=1).tolist()
+        inner = w[lo:hi, lo:hi].tolist()
+        for j in range(hi - lo - 2, -1, -1):
+            row, best = inner[j], part[j]
+            for k in range(j + 1, hi - lo):
+                if row[k] + part[k] > best:
+                    best = row[k] + part[k]
+            part[j] = best
+        R[lo:hi] = part
+        hi = lo
+    R[L - 1] = NEG_INF
+    return R, 32.0 * L * L * A * 2.0**-53
+
+
+def _longer_cannot_win(logE, emit, normalized):
+    """Stopping rule for the joint Viterbi sweep: done(i, delta[i]) is True
+    once no path with more than i+1 vertices can beat the best criterion of
+    the lengths scored so far, so that the shortest best length is final.
+
+    R comes from _suffix_bound with lam the best criterion at the first
+    step whose criterion does not improve a finite best (lam = 0 in raw
+    mode). A path with n >= i+2 vertices is at some vertex j at step i, so
+    its score is at most delta[i, j] + R(j) + lam (n - i - 1). The best so
+    far only grows, and lam <= best, so max_j delta[i, j] + R(j) <
+    best (i+1) - tau (best - tau in raw mode) proves every longer criterion
+    below the best.
+    """
+    L = emit.size
+    best = NEG_INF
+    bound = None  # (R, tau) once computed, False if the guards fail
+    next_test = 0
+
+    def done(i, row):
+        nonlocal best, bound, next_test
+        crit = row[L - 1] / (i + 1) if normalized else row[L - 1]
+        if crit > best:
+            best = crit
+        elif bound is None and best > NEG_INF:
+            bound = _suffix_bound(logE, emit, best if normalized else 0.0) or False
+        if not bound or i < next_test:
+            return False
+        # after a failed test the gaps grow, so a bound that never fires
+        # costs about 8 ln(L/8) tests rather than L; a stop comes at most
+        # i/8 steps late
+        next_test = i + 1 + i // 8
+        R, tau = bound
+        # maximum.reduce costs half of np.max on these short rows
+        return np.maximum.reduce(row[i:] + R[i:]) < (best * (i + 1) if normalized else best) - tau
+
+    return done
 
 
 def best_path(lattice: DagLattice, target):
@@ -109,17 +224,16 @@ def lookahead(lattice: DagLattice, max_steps=None) -> DecodeResult:
     highest transition-times-emission probability; stop at the final vertex.
     """
     L = lattice.graph_size
-    logE, logP = lattice.log_transition, lattice.log_emission
+    logE = lattice.log_transition
     steps = L if max_steps is None else int(max_steps)
     if steps < 1:
         raise ValueError("max_steps must be >= 1")
-    vertex_best_tok = np.argmax(logP, axis=1)
-    vertex_best_logp = logP[np.arange(L), vertex_best_tok]
+    vertex_best_tok, vertex_best_logp = _greedy(lattice)
 
     cur = 0
     path = [0]
     tokens = [int(vertex_best_tok[0])]
-    score = float(logP[0, tokens[0]])
+    score = float(vertex_best_logp[0])
     while cur != L - 1 and len(path) < steps:
         cand = logE[cur] + vertex_best_logp
         nxt = int(np.argmax(cand))
@@ -144,23 +258,37 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     Viterbi pass scores every candidate length. The length with the best
     per-step average score wins by default ("normalized"); "raw" compares
     unnormalized scores, which favors short paths. The returned
-    joint_logprob is always unnormalized. Every length is scored, so step i
+    joint_logprob is always unnormalized. Every length can win, so step i
     scans the vertices j >= i (width L in _viterbi_tables).
+
+    The sweep stops once a bound proves that no longer length can win
+    (Dinkelbach's substitution turns the ratio question into one longest
+    path). R(j) is the longest path from j to L-1 with at least one edge,
+    weighted log E + emit - lam per vertex entered, with lam the best
+    criterion (0 in raw mode); after step i, max_j delta[i, j] + R(j) below
+    best * (i+1) (raw: best) by the rounding margin tau proves it. R is
+    computed once, at the first step whose criterion does not improve a
+    finite best, in O(L^2). tau = 32 L^2 A 2^-53, A the largest finite
+    |entry|, covers float rounding, so paths, tokens, scores and the tie
+    rules stay bit-identical to the full sweep; exact ties fail the bound
+    and the sweep runs on. A lattice with a NaN or +inf entry, with finite
+    mass on or below the diagonal of log E, or with L = 1 takes the full
+    sweep.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")
     L = lattice.graph_size
     logE = lattice.log_transition
-    toks = np.argmax(lattice.log_emission, axis=1)
-    emit = lattice.log_emission[np.arange(L), toks]
+    toks, emit = _greedy(lattice)
+    normalized = length_select == "normalized"
 
     # one row per step, all the same: every step emits the per-vertex best
-    delta, phi = _viterbi_tables(logE, np.broadcast_to(emit, (L, L)), L)  # (step, vertex)
+    delta, phi = _viterbi_tables(
+        logE, np.broadcast_to(emit, (L, L)), L, _longer_cannot_win(logE, emit, normalized)
+    )  # (step, vertex); the rows after an early stop stay -inf
 
     finals = delta[:, L - 1]  # index i -> path length i+1
-    lengths = np.arange(1, L + 1, dtype=np.float64)
-    crit = finals / lengths if length_select == "normalized" else finals
-    crit = np.where(finals == NEG_INF, NEG_INF, crit)
+    crit = finals / np.arange(1, L + 1) if normalized else finals
     best_i = int(np.argmax(crit))  # shortest length wins exact ties
     # a path always exists: vertex L-1 is reachable whenever any mass is,
     # and the L=1 lattice has the trivial length-1 path

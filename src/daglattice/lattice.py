@@ -8,6 +8,7 @@ and CLI output use 1-based indices.
 """
 
 import json
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -218,10 +219,23 @@ def _inf_to_null(matrix):
     ]
 
 
+def _number(v):
+    """A log-matrix entry that is neither null nor a float, as a float: an
+    integer (or a numpy number from a library caller) is that number, and a
+    string or a boolean is not a number."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return float(v)
+    raise TypeError(f"entry {json.dumps(v)[:40]} is not a number")
+
+
 def _null_to_inf(rows, name):
     try:
+        # float(v) would let strings and booleans in; the class check that
+        # replaces it costs no more on the nulls and floats that make up
+        # nearly every entry
         return np.array(
-            [[NEG_INF if v is None else float(v) for v in row] for row in rows],
+            [[NEG_INF if v is None else v if v.__class__ is float else _number(v) for v in row]
+             for row in rows],
             dtype=np.float64,
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -346,7 +360,7 @@ def load_target(path) -> TargetSequence:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LatticeFormatError(f"{path}: invalid JSON at offset {exc.pos}") from exc
-    if not isinstance(obj, list) or not all(isinstance(t, int) for t in obj):
+    if not isinstance(obj, list) or not all(type(t) is int for t in obj):  # no booleans
         raise LatticeFormatError(f"{path}: target file must be a JSON array of integers")
     return TargetSequence(np.array(obj, dtype=np.int64))
 

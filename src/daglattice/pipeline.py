@@ -38,9 +38,19 @@ class LossBreakdown:
 
 
 def length_regulate(states, durations) -> np.ndarray:
-    """Repeat row i of `states` durations[i] times; zero durations drop rows."""
+    """Repeat row i of `states` durations[i] times; zero durations drop rows.
+
+    Durations are whole frame counts: an integer array is taken as it is,
+    and any other array must hold integral values (a ValueError otherwise).
+    """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    durations = np.asarray(durations, dtype=np.int64)
+    durations = np.asarray(durations)
+    if durations.dtype.kind not in "iu":  # an integer array needs no value check
+        durations = durations.astype(np.float64)
+        whole = np.isfinite(durations) & (durations == np.floor(durations))
+        if not np.all(whole):
+            raise ValueError(f"durations must be integral frame counts, got {durations[~whole][0]}")
+    durations = durations.astype(np.int64, copy=False)
     if durations.ndim != 1 or states.shape[0] != durations.size:
         raise LengthMismatch(
             f"{states.shape[0]} state rows vs {durations.size} durations"

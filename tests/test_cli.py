@@ -159,6 +159,30 @@ def test_pipeline_command(tmp_path, capsys):
     assert report["outputs"]["frames"] == [[1.0], [1.0], [2.0], [2.0], [2.0]]
 
 
+@pytest.mark.parametrize("tokens", [[True, 0], [1, 0.0], ["1", 0]])
+def test_target_entries_must_be_json_integers(fixture_dir, capsys, tokens):
+    (fixture_dir / "bad_tgt.json").write_text(json.dumps(tokens))
+    code = main(["score", "--lattice", str(fixture_dir / "single.json"),
+                 "--target", str(fixture_dir / "bad_tgt.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "integers" in captured.err
+
+
+@pytest.mark.parametrize("durations", [[1.7, 0.5], [2.0, 1], [True, 1], ["2", 1], 3])
+def test_pipeline_durations_must_be_json_integers(tmp_path, capsys, durations):
+    (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
+    (tmp_path / "d.json").write_text(json.dumps(durations))
+    code = main(["pipeline", "--states", str(tmp_path / "states.json"),
+                 "--durations", str(tmp_path / "d.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "durations" in captured.err
+    assert "internal error" not in captured.err
+
+
 def test_pipeline_shape_error_exit_4(tmp_path, capsys):
     (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
     (tmp_path / "dur.json").write_text(json.dumps([2, 3, 1]))
@@ -273,6 +297,10 @@ MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)
     (("hidden_states", 2, 1), None),
     (("hidden_states", 0, 0), "0.5"),
     (("log_transition", 0, 1), 10**400),  # a JSON integer no float can hold
+    (("log_transition", 0, 1), "-1.5"),
+    (("log_transition", 1, 2), True),
+    (("log_emission", 2, 0), "-0.5"),
+    (("log_emission", 0, 1), False),
 ]
 
 

@@ -1,6 +1,7 @@
 """The per-lattice memo of DP tables: one forward and one backward pass per
 (lattice, target), results identical to an unmemoised computation, and
-forward/backward themselves left uncached."""
+forward/backward themselves left uncached. Also the per-lattice greedy
+tokens that the decoders share."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from daglattice import DagLattice, build_random, dp, save_lattice
+from daglattice import DagLattice, build_random, decode, dp, oracle, save_lattice
 from daglattice.dp import InfeasibleTarget
 
 GRAPH, VOCAB, HIDDEN, SEED = 24, 6, 4, 7
@@ -173,14 +174,36 @@ def test_views_kept_by_the_caller_cannot_stale_the_memo():
 def test_memo_is_invisible_to_equality_repr_and_saving(tmp_path):
     used, unused = fresh(), fresh()
     dp.nll_grad(used, targets()[0])
-    assert "_dp_memo" in vars(used)
-    assert "_dp_memo" not in vars(unused)
+    decode.joint_viterbi(used)
+    assert "_dp_memo" in vars(used) and "_greedy_memo" in vars(used)
+    assert "_dp_memo" not in vars(unused) and "_greedy_memo" not in vars(unused)
     assert used == unused
     assert repr(used) == repr(unused)
     for fmt in ("json", "binary"):
         save_lattice(used, tmp_path / f"used.{fmt}", fmt)
         save_lattice(unused, tmp_path / f"unused.{fmt}", fmt)
         assert (tmp_path / f"used.{fmt}").read_bytes() == (tmp_path / f"unused.{fmt}").read_bytes()
+
+
+def test_greedy_tokens_computed_once_per_lattice(monkeypatch):
+    lat = fresh()
+    calls = []
+    real = np.argmax
+
+    def counting(a, *args, **kwargs):
+        calls.append(a is lat.log_emission)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", counting)
+    first = decode.joint_viterbi(lat)
+    decode.lookahead(lat)
+    decode.joint_viterbi(lat, "raw")
+    assert sum(calls) == 1
+    monkeypatch.undo()
+    assert decode.joint_viterbi(lat) == first
+    toks, logp = decode._greedy(lat)
+    assert not toks.flags.writeable and not logp.flags.writeable
+    assert np.array_equal(toks, oracle.greedy_tokens(lat))
 
 
 def test_two_threads_sharing_one_lattice():

@@ -34,6 +34,15 @@ class TestLengthRegulate:
         with pytest.raises(ValueError):
             length_regulate(np.zeros((2, 1)), [1, -1])
 
+    @pytest.mark.parametrize("durations", [[1.7, 0.5], [1.0, np.nan], [np.inf, 1.0]])
+    def test_non_integral_durations_rejected(self, durations):
+        with pytest.raises(ValueError, match="durations"):
+            length_regulate(np.zeros((2, 1)), durations)
+
+    def test_integral_float_durations_repeat(self):
+        frames = length_regulate(np.array([[1.0], [2.0]]), np.array([2.0, 1.0]))
+        assert frames[:, 0].tolist() == [1.0, 1.0, 2.0]
+
 
 class TestTtsLosses:
     def _zeros(self):
