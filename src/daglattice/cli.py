@@ -86,11 +86,25 @@ def _load_validated(args):
     return lat
 
 
+def _non_numbers(value):
+    """The entries of nested JSON arrays that are not JSON numbers: strings,
+    booleans, nulls and objects."""
+    if isinstance(value, list):
+        for v in value:
+            yield from _non_numbers(v)
+    elif type(value) not in (int, float):  # bool is a subclass of int
+        yield value
+
+
 def _matrix(path):
+    """A JSON array of numbers, nested to any depth, as a float64 array."""
     with open(path) as fh:
         try:
-            return np.asarray(json.load(fh), dtype=np.float64)
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+            value = json.load(fh)
+            for bad in _non_numbers(value):
+                raise ValueError(f"entry {json.dumps(bad)[:40]} is not a number")
+            return np.asarray(value, dtype=np.float64)
+        except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
             raise LatticeFormatError(f"{path}: {exc}") from exc
 
 

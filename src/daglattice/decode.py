@@ -22,11 +22,6 @@ from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
 
-# vertices per block of the backward sweep in _suffix_bound; at L = 256,
-# 8 and 16 were fastest of 4, 8, 16, 24 and 32
-SUFFIX_BLOCK = 16
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     path: VertexPath
@@ -110,23 +105,27 @@ def _greedy(lattice: DagLattice):
 
 
 def _suffix_bound(logE, emit, lam):
-    """(R, tau) for the joint Viterbi stopping rule, or None when the guards
-    rule the bound out.
+    """(w, U, tau) for the joint Viterbi stopping rule, or None when the
+    guards rule the bound out.
 
-    R[j] is the best score of a path from vertex j to L-1 with at least one
-    edge, each vertex k it enters adding logE[., k] + emit[k] - lam;
-    R[L-1] = -inf. One backward sweep over the vertices computes it.
+    w = logE + emit - lam weighs each edge by the vertex it enters, and U
+    bounds R(j), the best w-score of a path from j to L-1 with at least one
+    edge: with m(j) = max_k w[j, k], U(j) = m(j) + sum_{j<v<L-1}
+    max(m(v), 0), as a path's first edge is worth at most m(j) and each
+    later one leaves a distinct vertex v. U(L-1) = 0, as a suffix may end
+    there; the test reads U on [i, L-1) only.
 
     tau covers float rounding. Every finite entry has magnitude at most A
     and lam at most 2A (a criterion is a path score over its vertex count),
-    so each sum that the Viterbi steps, this sweep and the bound test round
-    has at most 3L terms and partial sums below 6LA. The test's left side
-    and the criteria it bounds are then off their exact values by at most
-    12 L^2 A 2^-53 in all, plus terms of order L A 2^-53, and
-    tau = 32 L^2 A 2^-53 covers both with a margin.
-    The bound needs a DAG with no NaN, +inf or overflowing path sum, so a
-    lattice with a NaN or +inf entry, with finite mass on or below the
-    diagonal of log E, or whose sums could overflow takes the full sweep.
+    so each sum that the Viterbi steps, U and the bound test round has at
+    most 3L terms and partial sums below 6LA. U(j) is rounded at most L-j
+    times (once per vertex after j in the cumulative sum; a tightening step
+    rounds once on top of a U(k), k > j) and delta[i, j] at most i <= j
+    times, so the test's left side and the criteria it bounds are off their
+    exact values by at most 12 L^2 A 2^-53 in all, plus terms of order
+    L A 2^-53, and tau = 32 L^2 A 2^-53 covers both with a margin.
+    The bound needs a DAG with no NaN, +inf or overflowing path sum; any
+    other lattice takes the full sweep.
     """
     L = emit.size
     top = max(logE.max(), emit.max())
@@ -139,25 +138,20 @@ def _suffix_bound(logE, emit, lam):
     if not 8.0 * L * A < np.finfo(np.float64).max:
         return None
     w = logE + (emit - lam)
-    R = np.zeros(L)  # R[L-1] = 0 during the sweep: a suffix may end there
-    hi = L - 1  # R is final on [hi, L)
-    while hi > 0:
-        # a block of vertices at a time: one array step for the edges that
-        # leave the block, then plain floats for the edges inside it, which
-        # beats one array step per vertex about twofold at L = 256
-        lo = max(0, hi - SUFFIX_BLOCK)
-        part = (w[lo:hi, hi:] + R[hi:]).max(axis=1).tolist()
-        inner = w[lo:hi, lo:hi].tolist()
-        for j in range(hi - lo - 2, -1, -1):
-            row, best = inner[j], part[j]
-            for k in range(j + 1, hi - lo):
-                if row[k] + part[k] > best:
-                    best = row[k] + part[k]
-            part[j] = best
-        R[lo:hi] = part
-        hi = lo
-    R[L - 1] = NEG_INF
-    return R, 32.0 * L * L * A * 2.0**-53
+    m = w.max(axis=1)  # m(L-1) = -inf
+    U = np.zeros(L)
+    np.cumsum(np.maximum(m[-2:0:-1], 0.0), out=U[-3::-1])  # from v = L-2 down
+    U[:-1] += m[:-1]
+    return w, U, 32.0 * L * L * A * 2.0**-53
+
+
+def _tighten(w, U, i):
+    """One Bellman step U <- min(U, max_k w[., k] + U(k)) on [i, L-1), in
+    place; False if it changed nothing, which leaves U = R there."""
+    t = (w[i:-1] + U).max(axis=1)
+    changed = (t < U[i:-1]).any()
+    np.minimum(U[i:-1], t, out=U[i:-1])
+    return changed
 
 
 def _longer_cannot_win(logE, emit, normalized):
@@ -165,17 +159,16 @@ def _longer_cannot_win(logE, emit, normalized):
     once no path with more than i+1 vertices can beat the best criterion of
     the lengths scored so far, so that the shortest best length is final.
 
-    R comes from _suffix_bound with lam the best criterion at the first
-    step whose criterion does not improve a finite best (lam = 0 in raw
-    mode). A path with n >= i+2 vertices is at some vertex j at step i, so
-    its score is at most delta[i, j] + R(j) + lam (n - i - 1). The best so
-    far only grows, and lam <= best, so max_j delta[i, j] + R(j) <
-    best (i+1) - tau (best - tau in raw mode) proves every longer criterion
-    below the best.
+    U comes from _suffix_bound, with lam the best criterion at the first
+    step whose criterion does not improve a finite best (0 in raw mode). A
+    path with n >= i+2 vertices is at a vertex j < L-1 at step i, so its
+    score is at most delta[i, j] + U(j) + lam (n - i - 1). The best only
+    grows and lam <= best, so max_j delta[i, j] + U(j) < best (i+1) - tau
+    (best - tau in raw mode) proves every longer criterion below the best.
     """
     L = emit.size
     best = NEG_INF
-    bound = None  # (R, tau) once computed, False if the guards fail
+    bound = None  # (w, U, tau) once computed, w None once U = R; False if the guards fail
     next_test = 0
 
     def done(i, row):
@@ -191,9 +184,17 @@ def _longer_cannot_win(logE, emit, normalized):
         # costs about 8 ln(L/8) tests rather than L; a stop comes at most
         # i/8 steps late
         next_test = i + 1 + i // 8
-        R, tau = bound
+        w, U, tau = bound
+        limit = (best * (i + 1) if normalized else best) - tau
         # maximum.reduce costs half of np.max on these short rows
-        return np.maximum.reduce(row[i:] + R[i:]) < (best * (i + 1) if normalized else best) - tau
+        if np.maximum.reduce(row[i:-1] + U[i:-1], initial=NEG_INF) < limit:
+            return True
+        # a failed test tightens U once and retests, until a step changes
+        # nothing: then U = R, and w None marks it
+        if w is None or not _tighten(w, U, i):
+            bound = None, U, tau
+            return False
+        return np.maximum.reduce(row[i:-1] + U[i:-1], initial=NEG_INF) < limit
 
     return done
 
@@ -262,18 +263,16 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     scans the vertices j >= i (width L in _viterbi_tables).
 
     The sweep stops once a bound proves that no longer length can win
-    (Dinkelbach's substitution turns the ratio question into one longest
-    path). R(j) is the longest path from j to L-1 with at least one edge,
-    weighted log E + emit - lam per vertex entered, with lam the best
-    criterion (0 in raw mode); after step i, max_j delta[i, j] + R(j) below
-    best * (i+1) (raw: best) by the rounding margin tau proves it. R is
-    computed once, at the first step whose criterion does not improve a
-    finite best, in O(L^2). tau = 32 L^2 A 2^-53, A the largest finite
-    |entry|, covers float rounding, so paths, tokens, scores and the tie
-    rules stay bit-identical to the full sweep; exact ties fail the bound
-    and the sweep runs on. A lattice with a NaN or +inf entry, with finite
-    mass on or below the diagonal of log E, or with L = 1 takes the full
-    sweep.
+    (Dinkelbach's substitution turns the ratio question into a longest
+    path): after step i, max_j delta[i, j] + U(j) below best * (i+1) (raw:
+    best) by a rounding margin tau = 32 L^2 A 2^-53, A the largest finite
+    |entry|. U(j) bounds the longest path from j to L-1 weighted
+    log E + emit - lam per vertex entered, lam the best criterion (0 in raw
+    mode); it costs a row maximum and a cumulative sum, and a failed test
+    tightens it by one Bellman step. Paths, tokens, scores and the tie rules
+    stay bit-identical to the full sweep; exact ties fail the bound and the
+    sweep runs on. A lattice with a NaN or +inf entry, with finite mass on
+    or below the diagonal of log E, or with L = 1 takes the full sweep.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")

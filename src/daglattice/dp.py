@@ -11,7 +11,7 @@ states, and the analytic NLL gradient all derive from the two tables.
 Indices are 0-based throughout this module.
 
 The alpha/beta tables are stored in log space. Each step is computed as a
-max-shifted matrix-vector product against exp(log E), taken once per pass:
+max-shifted matrix-vector product against exp(log E), taken once per lattice:
 the previous row is shifted by its maximum, exponentiated, multiplied
 through BLAS, and the log taken. The row's 0/1 finite pattern goes through
 the same product as a second row, against edges floored away from zero,
@@ -117,8 +117,13 @@ def _matmul(a, b):
     return out
 
 
-def _pass_matrix(logE):
-    """exp(log E - max log E), edges floored at e^-700, built once per pass.
+def _pass_matrix(lattice: DagLattice):
+    """(exp(log E - max log E), max log E), edges floored at e^-700.
+
+    Built once per lattice and kept read-only in a private ``_pass_memo``
+    entry of its ``__dict__``, as ``_dp_memo`` is; forward and nll_grad use
+    it as it is and backward its transpose. It cannot go stale: a lattice's
+    arrays are read-only copies.
 
     The shift keeps every entry at most 1, so no term of a step overflows,
     and a term lost to underflow or raised to the floor changes its sum by
@@ -127,16 +132,21 @@ def _pass_matrix(logE):
     0/1 vector: that sum is 0 exactly when no finite term reaches the
     column. Non-edges stay exactly 0; NaN entries stay NaN.
     """
-    top = np.max(logE)
-    if not np.isfinite(top):
-        top = 0.0
-    expE = np.subtract(logE, top)
-    # clamping before exp also keeps -inf and underflow, exp's slow
-    # special cases, out of its input
-    np.maximum(expE, _LOG_FLOOR, out=expE)
-    np.exp(expE, out=expE)
-    np.multiply(expE, logE != NEG_INF, out=expE)
-    return expE, top
+    memo = lattice.__dict__.get("_pass_memo")
+    if memo is None:
+        logE = lattice.log_transition
+        top = np.max(logE)
+        if not np.isfinite(top):
+            top = 0.0
+        expE = np.subtract(logE, top)
+        # clamping before exp also keeps -inf and underflow, exp's slow
+        # special cases, out of its input
+        np.maximum(expE, _LOG_FLOOR, out=expE)
+        np.exp(expE, out=expE)
+        np.multiply(expE, logE != NEG_INF, out=expE)
+        expE.setflags(write=False)
+        memo = lattice.__dict__["_pass_memo"] = (expE, top)
+    return memo
 
 
 def _log_vecmat(x, logE, expE, top):
@@ -169,7 +179,7 @@ def forward(lattice: DagLattice, target) -> ForwardTable:
     M, L = y.size, lattice.graph_size
     logE = lattice.log_transition
     emit = lattice.log_emission[:, y].T  # (M, L)
-    expE, top = _pass_matrix(logE)
+    expE, top = _pass_matrix(lattice)
     la = np.full((M, L), NEG_INF)
     la[0, 0] = emit[0, 0]
     for i in range(1, M):
@@ -183,7 +193,8 @@ def backward(lattice: DagLattice, target) -> BackwardTable:
     M, L = y.size, lattice.graph_size
     logE = lattice.log_transition.T  # reduce over successors, without a copy
     emit = lattice.log_emission[:, y].T
-    expE, top = _pass_matrix(logE)
+    expE, top = _pass_matrix(lattice)
+    expE = expE.T  # over successors: the same F-ordered operand as exp(log E.T)
     lb = np.full((M, L), NEG_INF)
     lb[M - 1, L - 1] = 0.0
     for i in range(M - 2, -1, -1):
@@ -301,7 +312,7 @@ def nll_grad(lattice: DagLattice, target):
     logE, logP = lattice.log_transition, lattice.log_emission
     a = ft.log_alpha[:-1]
     c = bt.log_beta[1:] + logP[:, y[1:]].T
-    expE, top = _pass_matrix(logE)
+    expE, top = _pass_matrix(lattice)
     with np.errstate(all="ignore"):
         u = np.max(a, axis=1, initial=NEG_INF)
         w = np.max(c, axis=1, initial=NEG_INF)
@@ -315,10 +326,14 @@ def nll_grad(lattice: DagLattice, target):
             dE += np.exp(a[i][:, None] + logE + c[i][None, :] - logZ)
     # 0 - x rather than -x: entries at -inf get +0.0
     np.subtract(0.0, dE, out=dE)
+    # only the target's columns are nonzero: subtract gamma[i] from column
+    # y[i] in step order, as one unbuffered ufunc.at on those columns
+    cols, pos = np.unique(y, return_inverse=True)
+    block = np.zeros((lattice.graph_size, cols.size))
+    np.subtract.at(block, (slice(None), pos), gamma.T)
+    block[logP[:, cols] == NEG_INF] = 0.0
     dP = np.zeros((lattice.graph_size, lattice.vocab_size))
-    for i, v in enumerate(y):
-        dP[:, v] -= gamma[i]
-    dP[logP == NEG_INF] = 0.0
+    dP[:, cols] = block
     return dE, dP
 
 

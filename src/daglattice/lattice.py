@@ -38,10 +38,11 @@ class DagLattice:
     The lattice owns its arrays: construction copies every array it is
     given into a new read-only float64 array, so no view the caller kept
     can change it afterwards. ``dp`` relies on that for its one-entry memo
-    of the forward and backward tables for the last target (a private
-    ``_dp_memo`` attribute outside the dataclass fields, so it takes no part
-    in ``==``, ``repr`` or serialization): a memoised table always belongs
-    to the arrays the lattice holds.
+    of the forward and backward tables for the last target and for its
+    pass matrix (private ``_dp_memo`` and ``_pass_memo`` attributes outside
+    the dataclass fields, so they take no part in ``==``, ``repr`` or
+    serialization): a memoised table always belongs to the arrays the
+    lattice holds.
     """
 
     graph_size: int

@@ -183,6 +183,53 @@ def test_pipeline_durations_must_be_json_integers(tmp_path, capsys, durations):
     assert "internal error" not in captured.err
 
 
+@pytest.mark.parametrize("states, durations", [
+    ([["1.5"], [True]], [1, 2]),
+    ([[None, 1.0]], [1]),
+    ([[1.0], ["2"]], [1, 1]),
+    ([[1.0], [{"a": 1}]], [1, 1]),
+    ([[1.0], [10**400]], [1, 1]),
+])
+def test_pipeline_states_must_be_json_numbers(tmp_path, capsys, states, durations):
+    (tmp_path / "states.json").write_text(json.dumps(states))
+    (tmp_path / "d.json").write_text(json.dumps(durations))
+    code = main(["pipeline", "--states", str(tmp_path / "states.json"),
+                 "--durations", str(tmp_path / "d.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "states.json" in captured.err
+    assert "internal error" not in captured.err
+
+
+LOSS_FLAGS = ("pred-mel", "gt-mel", "pred-dur", "gt-dur",
+              "pred-pitch", "gt-pitch", "pred-energy", "gt-energy")
+
+
+def _loss_run(tmp_path, bad_flag=None, bad=None):
+    (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
+    (tmp_path / "d.json").write_text(json.dumps([1, 1]))
+    argv = ["--no-timing", "pipeline", "--states", str(tmp_path / "states.json"),
+            "--durations", str(tmp_path / "d.json")]
+    for flag in LOSS_FLAGS:
+        (tmp_path / f"{flag}.json").write_text(json.dumps(bad if flag == bad_flag else [1.0, 2]))
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("bad", [["1.5", 2.0], [True, 2.0], [None, 2.0]])
+def test_pipeline_loss_files_must_be_json_numbers(tmp_path, capsys, bad):
+    assert _loss_run(tmp_path) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["tts"]["total"] == 0.0
+    for flag in LOSS_FLAGS:
+        code = _loss_run(tmp_path, flag, bad)
+        captured = capsys.readouterr()
+        assert code == 2, flag
+        assert captured.out == ""
+        assert f"{flag}.json" in captured.err
+        assert "internal error" not in captured.err
+
+
 def test_pipeline_shape_error_exit_4(tmp_path, capsys):
     (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
     (tmp_path / "dur.json").write_text(json.dumps([2, 3, 1]))

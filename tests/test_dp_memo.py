@@ -114,25 +114,39 @@ def test_memo_key_is_the_token_values(pass_counts):
 
 def test_forward_and_backward_stay_uncached(monkeypatch):
     calls = []
-    original = dp._pass_matrix
+    original = dp._log_vecmat
 
-    def counted(logE):
-        calls.append(logE.shape)
-        return original(logE)
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
 
-    monkeypatch.setattr(dp, "_pass_matrix", counted)
+    monkeypatch.setattr(dp, "_log_vecmat", counted)
     lat = fresh()
     y = targets()[0]
+    steps = y.size - 1  # one _log_vecmat call per step of a pass
     dp.nll(lat, y)
-    assert len(calls) == 1
+    assert len(calls) == steps
     first = dp.forward(lat, y)
     second = dp.forward(lat, y)
-    assert len(calls) == 3
+    assert len(calls) == 3 * steps
     dp.backward(lat, y)
     dp.backward(lat, y)
-    assert len(calls) == 5
+    assert len(calls) == 5 * steps
     assert first.log_alpha is not second.log_alpha
     assert same(first.log_alpha, second.log_alpha)
+
+
+def test_pass_matrix_built_once_per_lattice():
+    lat = fresh()
+    a, b = targets()[:2]
+    dp.forward(lat, a)
+    expE, top = vars(lat)["_pass_memo"]
+    assert not expE.flags.writeable
+    for y in (a, b):
+        dp.nll_grad(lat, y)
+        dp.backward(lat, y)
+    assert vars(lat)["_pass_memo"][0] is expE
+    assert vars(lat)["_pass_memo"][1] == top
 
 
 def test_callers_own_their_outputs():
@@ -175,8 +189,9 @@ def test_memo_is_invisible_to_equality_repr_and_saving(tmp_path):
     used, unused = fresh(), fresh()
     dp.nll_grad(used, targets()[0])
     decode.joint_viterbi(used)
-    assert "_dp_memo" in vars(used) and "_greedy_memo" in vars(used)
-    assert "_dp_memo" not in vars(unused) and "_greedy_memo" not in vars(unused)
+    memos = ("_dp_memo", "_pass_memo", "_greedy_memo")
+    assert all(name in vars(used) for name in memos)
+    assert not any(name in vars(unused) for name in memos)
     assert used == unused
     assert repr(used) == repr(unused)
     for fmt in ("json", "binary"):

@@ -3,6 +3,8 @@ longer length can beat the best criterion so far, the step sweep ends. Its
 results must equal the unpruned sweep's bit for bit, in both length modes,
 and lattices the bound does not cover must take the full sweep."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,3 +126,81 @@ def tie_heavy_lattices(draw):
 def test_tie_heavy_lattices_match_the_unpruned_sweep(lat):
     for select in MODES:
         assert joint(lat, select)[0] == joint(lat, select, prune=False)[0]
+
+
+def reference_suffix(w):
+    """R(j), the best exact sum of w along a path from j to L-1 with at
+    least one edge (R(L-1) = -inf), by a plain backward O(L^2) loop over
+    exact rationals; None stands for -inf."""
+    L = len(w)
+    R = [None] * L
+    for j in range(L - 2, -1, -1):
+        for k in range(j + 1, L):
+            rest = Fraction(0) if k == L - 1 else R[k]
+            if w[j, k] == NEG_INF or rest is None:
+                continue
+            s = Fraction(w[j, k]) + rest
+            if R[j] is None or s > R[j]:
+                R[j] = s
+    return R
+
+
+ENTRIES = {
+    "random": st.floats(-8.0, 0.0),
+    "tie": st.sampled_from([0.0, -0.5, -1.0, -2.0]),
+    "masked": st.sampled_from([NEG_INF, NEG_INF, NEG_INF, -0.25, -3.0]) | st.floats(-20.0, 0.0),
+    "positive": st.floats(-2.0, 6.0),
+}
+
+
+@st.composite
+def bound_inputs(draw):
+    """(log E, emit, lam) for _suffix_bound: a valid DAG's log E, one
+    emission per vertex and lam = 0 (raw mode) or one of the finite entries
+    (normalized mode; a criterion is at most 2A in magnitude, as the
+    rounding margin assumes), with entries of one of four kinds."""
+    kind = draw(st.sampled_from(sorted(ENTRIES)))
+    L = draw(st.integers(2, 12))
+    lt = draw(arrays(np.float64, (L, L), elements=ENTRIES[kind]))
+    lt[np.tril_indices(L)] = NEG_INF
+    emit = draw(arrays(np.float64, L, elements=ENTRIES[kind]))
+    finite = np.concatenate([lt[lt > NEG_INF], emit[emit > NEG_INF]])
+    lam = draw(st.sampled_from([0.0, *finite.tolist()]))
+    return lt, emit, lam
+
+
+def assert_above(U, R, slack):
+    """U(j) >= R(j) - slack(j) on every vertex before L-1."""
+    for j, r in enumerate(R[:-1]):
+        if r is not None:
+            assert U[j] > NEG_INF and Fraction(U[j]) >= r - slack[j], j
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=bound_inputs(), start=st.integers(0, 11))
+def test_suffix_bound_stays_above_the_longest_path(data, start):
+    """U0 >= R, U stays >= R through tightening steps on [i, L-1), and the
+    steps reach R within tau. Each U(j) is rounded at most L-j times with
+    partial sums below 6 L A, so it may sit that far below the exact R."""
+    lt, emit, lam = data
+    L = emit.size
+    bound = decode._suffix_bound(lt, emit, lam)
+    assert bound is not None
+    w, U, tau = bound
+    R = reference_suffix(w)
+    A = max(np.abs(lt[lt > NEG_INF]).max(initial=0.0), np.abs(emit[emit > NEG_INF]).max(initial=0.0))
+    slack = [Fraction((L - j) * 6 * L * A) / 2**53 for j in range(L)]
+    assert U[L - 1] == 0.0
+    assert_above(U, R, slack)
+    i = min(start, L - 1)
+    for _ in range(L):
+        if not decode._tighten(w, U, i):
+            break
+        assert_above(U, R, slack)
+    else:
+        assert not decode._tighten(w, U, i), "tightening did not settle within L steps"
+    for j in range(i, L - 1):
+        if R[j] is None:
+            assert U[j] == NEG_INF
+        else:
+            assert abs(Fraction(U[j]) - R[j]) <= Fraction(tau)
