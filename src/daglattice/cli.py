@@ -21,7 +21,9 @@ from .lattice import (
     DimensionError,
     LatticeFormatError,
     build_random,
+    load_integers,
     load_lattice,
+    load_numbers,
     load_target,
     validate,
 )
@@ -84,28 +86,6 @@ def _load_validated(args):
                 f"pass --skip-validation to force"
             )
     return lat
-
-
-def _non_numbers(value):
-    """The entries of nested JSON arrays that are not JSON numbers: strings,
-    booleans, nulls and objects."""
-    if isinstance(value, list):
-        for v in value:
-            yield from _non_numbers(v)
-    elif type(value) not in (int, float):  # bool is a subclass of int
-        yield value
-
-
-def _matrix(path):
-    """A JSON array of numbers, nested to any depth, as a float64 array."""
-    with open(path) as fh:
-        try:
-            value = json.load(fh)
-            for bad in _non_numbers(value):
-                raise ValueError(f"entry {json.dumps(bad)[:40]} is not a number")
-            return np.asarray(value, dtype=np.float64)
-        except (json.JSONDecodeError, TypeError, ValueError, OverflowError) as exc:
-            raise LatticeFormatError(f"{path}: {exc}") from exc
 
 
 def cmd_score(args, lat, target):
@@ -177,12 +157,8 @@ def cmd_oracle(args, lat, target):
 
 
 def cmd_pipeline(args, lat, target):
-    states = _matrix(args.states)
-    with open(args.durations) as fh:
-        durations = json.load(fh)
-    if not isinstance(durations, list) or not all(type(d) is int for d in durations):
-        raise LatticeFormatError(f"{args.durations}: durations must be a JSON array of integers")
-    frames = pipeline.length_regulate(states, durations)
+    frames = pipeline.length_regulate(load_numbers(args.states),
+                                      load_integers(args.durations, "durations"))
     outputs = {"frame_count": int(frames.shape[0])}
     if args.emit_frames:
         outputs["frames"] = frames.tolist()
@@ -191,7 +167,7 @@ def cmd_pipeline(args, lat, target):
     if any(f is not None for f in loss_files):
         if any(f is None for f in loss_files):
             raise pipeline.ShapeMismatch("all eight pred/gt loss files are required together")
-        arrays = [_matrix(f) for f in loss_files]
+        arrays = [load_numbers(f) for f in loss_files]
         tts = pipeline.tts_losses(*arrays)
         outputs["tts"] = {
             "l1": tts.l1, "dur_mse": tts.dur_mse, "pitch_mse": tts.pitch_mse,
@@ -354,7 +330,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (LatticeFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except LatticeFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (dp.InfeasibleTarget, oracle.CapExceeded) as exc:

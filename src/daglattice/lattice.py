@@ -3,13 +3,14 @@
 A lattice is an L-vertex DAG with edges only from lower to higher vertex
 indices. Vertices emit tokens (log_emission), edges carry transition
 probability (log_transition, strictly upper triangular in probability mass).
-Vertex indices are 0-based internally and in serialized files; documentation
-and CLI output use 1-based indices.
+Vertex indices are 0-based here and in files, 1-based in docs and CLI output.
+Every input file is read here: one that cannot be read, or holds a value its
+field does not accept, raises LatticeFormatError naming the file or field.
+Numbers must be finite, except -inf in the log matrices.
 """
 
 import json
 import numbers
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ BINARY_VERSION = 1
 
 
 class LatticeFormatError(ValueError):
-    """Malformed lattice file (bad magic, bad JSON, missing field)."""
+    """Unreadable or malformed input file (bad JSON, bad header, bad field)."""
 
 
 class DimensionError(ValueError):
@@ -160,6 +161,7 @@ class ValidationReport:
         self.violations.append(Violation(kind, index, float(deviation)))
 
 
+@np.errstate(over="ignore")  # e^x of a huge log entry is inf mass, reported as such
 def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> ValidationReport:
     """Check the lattice invariants; never raises, returns a full report.
 
@@ -229,30 +231,43 @@ def _number(v):
     raise TypeError(f"entry {json.dumps(v)[:40]} is not a number")
 
 
+def _finite(arr, where, neg_inf=False):
+    """arr, when every entry is finite (or -inf, where neg_inf allows it)."""
+    ok = arr < np.inf if neg_inf else np.isfinite(arr)  # NaN fails both
+    if not ok.all():
+        raise LatticeFormatError(f"{where}: entry {arr[~ok][0]} is not a finite number")
+    return arr
+
+
 def _null_to_inf(rows, name):
     try:
         # float(v) would let strings and booleans in; the class check that
         # replaces it costs no more on the nulls and floats that make up
         # nearly every entry
-        return np.array(
+        arr = np.array(
             [[NEG_INF if v is None else v if v.__class__ is float else _number(v) for v in row]
              for row in rows],
             dtype=np.float64,
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise LatticeFormatError(f"field {name!r}: {exc}") from exc
+    return _finite(arr, f"field {name!r}", neg_inf=True)
 
 
-def _number_rows(rows, name):
-    """Rows of JSON numbers as a float64 matrix; null, strings and booleans
-    are format errors that name the field."""
+def _floats(value, where):
+    """Nested JSON arrays of finite numbers as a float64 array; anything else
+    (rows of unequal length, an integer too large for a float) names `where`."""
     try:
-        bad = [v for row in rows for v in row if type(v) not in (int, float)]
-        if not bad:
-            return np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise LatticeFormatError(f"field {name!r}: {exc}") from exc
-    raise LatticeFormatError(f"field {name!r}: entry {json.dumps(bad[0])[:40]} is not a number")
+        arr = np.array(value, dtype=object)
+        # bool is a subclass of int; a list here means rows of unequal length
+        bad = [v for v in arr.flat if type(v) not in (int, float)]
+        if bad:
+            what = "a row of unequal length" if type(bad[0]) is list else "not a number"
+            raise ValueError(f"entry {json.dumps(bad[0])[:40]} is {what}")
+        arr = arr.astype(np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise LatticeFormatError(f"{where}: {exc}") from exc
+    return _finite(arr, where)
 
 
 def lattice_to_json_obj(lattice: DagLattice) -> dict:
@@ -283,7 +298,9 @@ def lattice_from_json_obj(obj: dict) -> DagLattice:
     le = _null_to_inf(obj["log_emission"], "log_emission")
     hs = obj.get("hidden_states")
     if hs is not None:
-        hs = _number_rows(hs, "hidden_states")
+        hs = _floats(hs, "field 'hidden_states'")
+        if hs.ndim != 2:
+            raise LatticeFormatError(f"field 'hidden_states': {hs.ndim}-D, not rows of numbers")
     return DagLattice(obj["graph_size"], obj["vocab_size"], obj["hidden_dim"], lt, le, hs)
 
 
@@ -313,57 +330,63 @@ def save_lattice(lattice: DagLattice, path, fmt="json"):
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _read(path):
+    """The bytes of an input file; one that cannot be read is a format error."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LatticeFormatError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def _parse_json(data, path):
+    """The JSON value in a file's bytes, which must be UTF-8 text."""
+    try:
+        # -Infinity is -inf; NaN and Infinity stay strings, which no field accepts
+        return json.loads(data.decode(), parse_constant=lambda t: NEG_INF if t[0] == "-" else t)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
+        raise LatticeFormatError(f"{path}: {exc}") from exc
+
+
 def load_lattice(path) -> DagLattice:
     """Load a lattice, auto-detecting binary vs JSON by the magic bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == BINARY_MAGIC:
-            return _load_binary_body(fh, path)
-    with open(path, "r") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LatticeFormatError(f"{path}: invalid JSON at offset {exc.pos}") from exc
-    return lattice_from_json_obj(obj)
-
-
-def _load_binary_body(fh, path):
-    header = fh.read(16)
-    if len(header) < 16:
+    data = _read(path)
+    if data[:4] != BINARY_MAGIC:
+        return lattice_from_json_obj(_parse_json(data, path))
+    if len(data) < 20:
         raise LatticeFormatError(f"{path}: truncated binary header")
-    version, L, V, d = struct.unpack("<IIII", header)
+    version, L, V, d = struct.unpack_from("<IIII", data, 4)
     if version != BINARY_VERSION:
         raise LatticeFormatError(f"{path}: unsupported binary version {version}")
-    # check the declared size against the file before reading anything, so
-    # a corrupt header cannot ask for gigabytes
     declared = 8 * L * (L + V + d)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if declared != left:
+    if declared != len(data) - 20:
         raise LatticeFormatError(
             f"{path}: header declares L={L}, vocab={V}, d={d}, which is "
-            f"{declared} bytes of matrices, but {left} bytes follow it"
+            f"{declared} bytes of matrices, but {len(data) - 20} bytes follow it"
         )
+    # read-only views of the bytes; DagLattice copies them into its own arrays
+    lt, le, hs = np.split(np.frombuffer(data, dtype="<f8", offset=20), [L * L, L * (L + V)])
+    lt = _finite(lt.reshape(L, L), f"{path}: field 'log_transition'", neg_inf=True)
+    le = _finite(le.reshape(L, V), f"{path}: field 'log_emission'", neg_inf=True)
+    hs = _finite(hs.reshape(L, d), f"{path}: field 'hidden_states'")
+    return DagLattice(L, V, d, lt, le, hs)  # hs is ignored when d == 0
 
-    def read_mat(rows, cols):
-        # a read-only view of the bytes; DagLattice copies it into its own array
-        buf = fh.read(rows * cols * 8)
-        return np.frombuffer(buf, dtype="<f8").reshape(rows, cols)
 
-    lt = read_mat(L, L)
-    le = read_mat(L, V)
-    hs = read_mat(L, d) if d > 0 else None
-    return DagLattice(L, V, d, lt, le, hs)
+def load_numbers(path) -> np.ndarray:
+    """``pipeline --states`` or a loss file: see _floats."""
+    return _floats(_parse_json(_read(path), path), path)
+
+
+def load_integers(path, what) -> np.ndarray:
+    """A JSON array of int64 integers, not booleans, as int64; `what` names it in errors."""
+    obj = _parse_json(_read(path), path)
+    if isinstance(obj, list) and all(type(t) is int and -(2**63) <= t < 2**63 for t in obj):
+        return np.array(obj, dtype=np.int64)
+    raise LatticeFormatError(f"{path}: {what} must be a JSON array of 64-bit integers")
 
 
 def load_target(path) -> TargetSequence:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LatticeFormatError(f"{path}: invalid JSON at offset {exc.pos}") from exc
-    if not isinstance(obj, list) or not all(type(t) is int for t in obj):  # no booleans
-        raise LatticeFormatError(f"{path}: target file must be a JSON array of integers")
-    return TargetSequence(np.array(obj, dtype=np.int64))
+    return TargetSequence(load_integers(path, "target file"))
 
 
 def save_target(target: TargetSequence, path):

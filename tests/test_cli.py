@@ -1,12 +1,31 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from daglattice import TargetSequence, build_random, save_lattice, save_target
 from daglattice.cli import main
 
 from conftest import lattice_from_probs
+
+DIRECTORY = object()  # a case value: a directory stands where the file should be
+NOT_UTF8 = b"[1, 2]\xff"
+UNREADABLE = (NOT_UTF8, DIRECTORY)  # cases whose error can name only the file
+
+
+def write_input(path, value):
+    """Write value to path as JSON; bytes go in as they are (text that
+    json.dumps cannot write, such as 1e999), and DIRECTORY makes a directory."""
+    if value is DIRECTORY:
+        path.mkdir()
+    elif isinstance(value, bytes):
+        path.write_bytes(value)
+    else:
+        path.write_text(json.dumps(value))
 
 
 @pytest.fixture
@@ -120,11 +139,14 @@ def test_bestpath_one_based_output(fixture_dir, capsys):
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["score", "--lattice", str(bad), "--target", str(bad)])
-    capsys.readouterr()
-    assert code == 2
+    for i, content in enumerate([b"{not json", NOT_UTF8, DIRECTORY]):
+        bad = tmp_path / f"bad{i}.json"
+        write_input(bad, content)
+        code = main(["score", "--lattice", str(bad), "--target", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert bad.name in captured.err
+        assert "internal error" not in captured.err
 
 
 def test_validation_failure_exit_4_and_skip_flag(tmp_path, capsys):
@@ -159,27 +181,41 @@ def test_pipeline_command(tmp_path, capsys):
     assert report["outputs"]["frames"] == [[1.0], [1.0], [2.0], [2.0], [2.0]]
 
 
-@pytest.mark.parametrize("tokens", [[True, 0], [1, 0.0], ["1", 0]])
+@pytest.mark.parametrize("tokens", [
+    [True, 0], [1, 0.0], ["1", 0],
+    [1, 10**30],  # too large for int64
+    [float("nan"), 1], [1, float("inf")],  # json.dumps writes NaN and Infinity
+    b"[1, 1e999]", *UNREADABLE,
+])
 def test_target_entries_must_be_json_integers(fixture_dir, capsys, tokens):
-    (fixture_dir / "bad_tgt.json").write_text(json.dumps(tokens))
+    write_input(fixture_dir / "bad_tgt.json", tokens)
     code = main(["score", "--lattice", str(fixture_dir / "single.json"),
                  "--target", str(fixture_dir / "bad_tgt.json")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "integers" in captured.err
+    assert "bad_tgt.json" in captured.err
+    if tokens not in UNREADABLE:
+        assert "integers" in captured.err
+    assert "internal error" not in captured.err
 
 
-@pytest.mark.parametrize("durations", [[1.7, 0.5], [2.0, 1], [True, 1], ["2", 1], 3])
+@pytest.mark.parametrize("durations", [
+    [1.7, 0.5], [2.0, 1], [True, 1], ["2", 1], 3,
+    [1, 10**30],  # too large for int64
+    [float("nan"), 1], [1, float("inf")], b"[1, 1e999]", *UNREADABLE,
+])
 def test_pipeline_durations_must_be_json_integers(tmp_path, capsys, durations):
     (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
-    (tmp_path / "d.json").write_text(json.dumps(durations))
+    write_input(tmp_path / "d.json", durations)
     code = main(["pipeline", "--states", str(tmp_path / "states.json"),
                  "--durations", str(tmp_path / "d.json")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "durations" in captured.err
+    assert "d.json" in captured.err
+    if durations not in UNREADABLE:
+        assert "durations" in captured.err
     assert "internal error" not in captured.err
 
 
@@ -189,9 +225,16 @@ def test_pipeline_durations_must_be_json_integers(tmp_path, capsys, durations):
     ([[1.0], ["2"]], [1, 1]),
     ([[1.0], [{"a": 1}]], [1, 1]),
     ([[1.0], [10**400]], [1, 1]),
+    ([[1.0], [2.0, 3.0]], [1, 1]),  # rows of unequal length
+    ([[1.0], [float("nan")]], [1, 1]),
+    ([[float("inf")], [1.0]], [1, 1]),
+    ([[1.0], [float("-inf")]], [1, 1]),
+    (b"[[1.0], [1e999]]", [1, 1]),
+    (NOT_UTF8, [1, 1]),
+    (DIRECTORY, [1, 1]),
 ])
 def test_pipeline_states_must_be_json_numbers(tmp_path, capsys, states, durations):
-    (tmp_path / "states.json").write_text(json.dumps(states))
+    write_input(tmp_path / "states.json", states)
     (tmp_path / "d.json").write_text(json.dumps(durations))
     code = main(["pipeline", "--states", str(tmp_path / "states.json"),
                  "--durations", str(tmp_path / "d.json")])
@@ -212,17 +255,21 @@ def _loss_run(tmp_path, bad_flag=None, bad=None):
     argv = ["--no-timing", "pipeline", "--states", str(tmp_path / "states.json"),
             "--durations", str(tmp_path / "d.json")]
     for flag in LOSS_FLAGS:
-        (tmp_path / f"{flag}.json").write_text(json.dumps(bad if flag == bad_flag else [1.0, 2]))
+        write_input(tmp_path / f"{flag}.json", bad if flag == bad_flag else [1.0, 2])
         argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
     return main(argv)
 
 
-@pytest.mark.parametrize("bad", [["1.5", 2.0], [True, 2.0], [None, 2.0]])
+@pytest.mark.parametrize("bad", [
+    ["1.5", 2.0], [True, 2.0], [None, 2.0],
+    [1.0, 10**400], [1.0, float("nan")], [float("inf"), 2.0], b"[1.0, 1e999]", *UNREADABLE,
+])
 def test_pipeline_loss_files_must_be_json_numbers(tmp_path, capsys, bad):
     assert _loss_run(tmp_path) == 0
     assert json.loads(capsys.readouterr().out)["outputs"]["tts"]["total"] == 0.0
     for flag in LOSS_FLAGS:
-        code = _loss_run(tmp_path, flag, bad)
+        (tmp_path / flag).mkdir()  # a fresh directory, so a DIRECTORY case cannot linger
+        code = _loss_run(tmp_path / flag, flag, bad)
         captured = capsys.readouterr()
         assert code == 2, flag
         assert captured.out == ""
@@ -348,6 +395,14 @@ MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)
     (("log_transition", 1, 2), True),
     (("log_emission", 2, 0), "-0.5"),
     (("log_emission", 0, 1), False),
+    (("hidden_states",), 5),
+    (("hidden_states", 1), [0.5]),  # rows of unequal length
+    (("hidden_states", 0, 1), float("nan")),  # json.dumps writes NaN
+    (("hidden_states", 3, 2), float("-inf")),  # and -Infinity
+    (("hidden_states", 2, 0), b"1e999"),  # bytes: JSON text written as it is
+    (("log_transition", 0, 1), float("nan")),
+    (("log_emission", 1, 1), float("inf")),  # Infinity
+    (("log_transition", 0, 2), b"1e999"),  # +inf, even under --skip-validation
 ]
 
 
@@ -360,11 +415,98 @@ def test_malformed_json_fields_exit_2_and_name_the_field(fixture_dir, capsys, wh
     for key in parents:
         node = node[key]
     node[last] = value
-    (fixture_dir / "bad.json").write_text(json.dumps(obj))
-    code = main(["--no-timing", "decode", "--strategy", "viterbi",
-                 "--lattice", str(fixture_dir / "bad.json")])
+    text = json.dumps(obj, default=lambda raw: "@raw@")
+    if isinstance(value, bytes):
+        text = text.replace('"@raw@"', value.decode())
+    (fixture_dir / "bad.json").write_text(text)
+    for skip in ([], ["--skip-validation"]):
+        code = main(["--no-timing", "decode", "--strategy", "viterbi", *skip,
+                     "--lattice", str(fixture_dir / "bad.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert repr(where[0]) in captured.err
+        assert "internal error" not in captured.err
+
+
+# What the fuzz test puts into files: JSON tokens that are odd in one field
+# or another ("\udcff" is written as the byte 0xff), doubles and header words
+# for binary lattices. Tokens go in whole, and none is an integer that a
+# duration accepts and that is larger than 1, so no mutated durations file
+# asks for a large allocation.
+ODD_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1e308", "null", "true",
+              '"1"', "[]", "{}", "[1]", "1.5", "-1", "0", "99999999999999999999999", "\udcff"]
+ODD_DOUBLES = [np.nan, np.inf, -np.inf, 0.0, 1e300, -1e300, 5e-324]
+ODD_WORDS = [0, 1, 2, 7, 2**31, 2**32 - 1]
+JSON_TOKEN = re.compile(r'"[^"]*"|-?\d[\d.eE+-]*|\w+|[^\s\w]')
+
+
+@st.composite
+def mutated_json(draw, text):
+    tokens = JSON_TOKEN.findall(text)
+    for _ in range(draw(st.integers(1, 3))):
+        if not tokens:
+            break
+        i = draw(st.integers(0, len(tokens) - 1))
+        action = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        odd = [] if action in ("delete", "truncate") else [draw(st.sampled_from(ODD_TOKENS))]
+        tokens[i:] = odd if action == "truncate" else odd + tokens[i + (action != "insert"):]
+    return " ".join(tokens).encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def mutated_binary(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["entry", "entry", "header", "truncate"]))
+        if action == "entry":
+            k = 20 + 8 * draw(st.integers(0, (len(data) - 20) // 8 - 1))
+            data[k: k + 8] = struct.pack("<d", draw(st.sampled_from(ODD_DOUBLES)))
+        elif action == "header":  # version, L, vocab or d
+            k = 4 + 4 * draw(st.integers(0, 3))
+            data[k: k + 4] = struct.pack("<I", draw(st.sampled_from(ODD_WORDS)))
+        else:
+            del data[draw(st.integers(0, len(data) - 1)):]
+            if len(data) < 28:
+                break
+    return bytes(data)
+
+
+FUZZ_LATTICE = build_random(4, 3, 2, 5)
+FUZZ_FILES = {"tgt.json": "[2, 0, 1]", "states.json": "[[1.0, -0.5], [2.0, 0.25]]",
+              "dur.json": "[2, 1]"}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_files_never_exit_1(tmp_path, capsys, data):
+    """A mutated lattice, target, states or durations file ends in a report or
+    a classified error, and a validated report holds no NaN."""
+    save_lattice(FUZZ_LATTICE, tmp_path / "lat.json", "json")
+    save_lattice(FUZZ_LATTICE, tmp_path / "lat.bin", "binary")
+    for name, text in FUZZ_FILES.items():
+        (tmp_path / name).write_text(text)
+    names = ["lat.json", "lat.bin", *FUZZ_FILES]
+    name = data.draw(st.sampled_from(names))
+    valid = (tmp_path / name).read_bytes()
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(data.draw(mutated_binary(valid) if name == "lat.bin"
+                              else mutated_json(valid.decode())))
+    files = {n: str(bad if n == name else tmp_path / n) for n in names}
+    lattice = files["lat.bin" if name == "lat.bin" else "lat.json"]
+    skip = ["--skip-validation"] if data.draw(st.booleans()) else []
+    if name in ("states.json", "dur.json"):
+        argv = ["pipeline", "--emit-frames", "--states", files["states.json"],
+                "--durations", files["dur.json"]]
+    elif name != "tgt.json" and data.draw(st.booleans()):
+        argv = ["decode", "--strategy", "viterbi", "--lattice", lattice, *skip]
+    else:
+        argv = ["expect", "--lattice", lattice, "--target", files["tgt.json"], *skip]
+    code = main(["--no-timing", *argv])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert repr(where[0]) in captured.err
+    assert code in (0, 2, 3, 4), captured.err
     assert "internal error" not in captured.err
+    if code == 0 and not skip:
+        assert '"nan"' not in captured.out

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_round_trip(tmp_path, fmt):
     assert load_lattice(path) == lat
 
 
-def test_json_null_is_neg_inf():
+def test_json_null_is_neg_inf(tmp_path):
     obj = {
         "graph_size": 2, "vocab_size": 2, "hidden_dim": 0,
         "log_transition": [[None, 0.0], [None, None]],
@@ -131,6 +133,11 @@ def test_json_null_is_neg_inf():
     lat = lattice_from_json_obj(obj)
     assert lat.log_transition[0, 0] == NEG_INF
     assert lat.log_transition[0, 1] == 0.0
+    # so are -Infinity, which json.dumps writes for -inf, and an overflowing
+    # negative literal
+    for neg_inf in ("-Infinity", "-1e999"):
+        (tmp_path / "lat.json").write_text(json.dumps(obj).replace("null", neg_inf))
+        assert load_lattice(tmp_path / "lat.json") == lat
 
 
 def test_bad_magic_is_parse_error(tmp_path):
