@@ -202,6 +202,8 @@ def _calls_per_sample(lat, target):
 
 
 def cmd_bench(args, lat, target):
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     sizes = [int(s) for s in args.sizes.split(",")]
     if sizes != sorted(sizes):
         raise ValueError("--sizes must be ascending")
@@ -275,6 +277,8 @@ def build_parser():
     parser.add_argument("--no-timing", action="store_true",
                         help="omit wall_time_ms (for byte-level output comparison)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    skip_help = ("skip the normalisation and positive-entry checks; an edge on or below "
+                 "the diagonal of log E is still an error (exit 4)")
 
     def add(name, fn, inputs=("lattice", "target"), required_target=True):
         """Subcommand whose report echoes the named arguments as its inputs;
@@ -282,7 +286,7 @@ def build_parser():
         p = sub.add_parser(name)
         if "lattice" in inputs:
             p.add_argument("--lattice", required=True)
-            p.add_argument("--skip-validation", action="store_true")
+            p.add_argument("--skip-validation", action="store_true", help=skip_help)
         if "target" in inputs and required_target:
             p.add_argument("--target", required=True)
         p.set_defaults(fn=fn, inputs=inputs)
@@ -315,7 +319,7 @@ def build_parser():
         p.add_argument(f"--{flag}")
     p.add_argument("--lattice")
     p.add_argument("--target")
-    p.add_argument("--skip-validation", action="store_true")
+    p.add_argument("--skip-validation", action="store_true", help=skip_help)
     p.add_argument("--mu", type=float, default=5.0)
     p = add("bench", cmd_bench, ("sizes", "target_len", "repeats"))
     p.add_argument("--sizes", required=True, help="comma-separated ascending graph sizes")

@@ -51,8 +51,8 @@ def _viterbi_tables(logE, emit, width, done=None):
     (j, k) buffer, so the maximum runs along the contiguous axis.
 
     Every k outside the band has delta -inf or log E[k, j] -inf for a band
-    vertex j, because log E is -inf on and below the diagonal of a valid
-    lattice, so each band entry is bit-identical to the full-table
+    vertex j, because a DagLattice's log E is -inf on and below the
+    diagonal, so each band entry is bit-identical to the full-table
     recursion and every path read back from a band entry stays in the band.
 
     If given, done(i, delta[i]) is called after each step i >= 1, and the
@@ -124,16 +124,14 @@ def _suffix_bound(logE, emit, lam):
     times, so the test's left side and the criteria it bounds are off their
     exact values by at most 12 L^2 A 2^-53 in all, plus terms of order
     L A 2^-53, and tau = 32 L^2 A 2^-53 covers both with a margin.
-    The bound needs a DAG with no NaN, +inf or overflowing path sum; any
-    other lattice takes the full sweep.
+    The bound needs no NaN, +inf or overflowing path sum; a lattice with one
+    takes the full sweep.
     """
     L = emit.size
     top = max(logE.max(), emit.max())
     if not top < np.inf:  # NaN compares False
         return None
     finite = logE > NEG_INF
-    if np.any(finite & np.tri(L, dtype=bool)):
-        return None
     A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
     if not 8.0 * L * A < np.finfo(np.float64).max:
         return None
@@ -271,8 +269,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     mode); it costs a row maximum and a cumulative sum, and a failed test
     tightens it by one Bellman step. Paths, tokens, scores and the tie rules
     stay bit-identical to the full sweep; exact ties fail the bound and the
-    sweep runs on. A lattice with a NaN or +inf entry, with finite mass on
-    or below the diagonal of log E, or with L = 1 takes the full sweep.
+    sweep runs on. A lattice with a NaN or +inf entry, or with L = 1, takes
+    the full sweep.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")

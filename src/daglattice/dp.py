@@ -183,7 +183,7 @@ def forward(lattice: DagLattice, target) -> ForwardTable:
     la = np.full((M, L), NEG_INF)
     la[0, 0] = emit[0, 0]
     for i in range(1, M):
-        # inner reduction over predecessors k; masked entries of E keep k < j
+        # inner reduction over predecessors k; log E is -inf unless k < j
         np.add(emit[i], _log_vecmat(la[i - 1], logE, expE, top), out=la[i])
     return ForwardTable(la)
 
@@ -338,7 +338,7 @@ def nll_grad(lattice: DagLattice, target):
 
 
 def composite_loss(nll_value, tts_loss_value, mu):
-    """Weighted sum nll_value + mu * tts_loss_value."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    """Weighted sum nll_value + mu * tts_loss_value, for a finite mu >= 0."""
+    if not 0 <= mu < math.inf:  # NaN fails too
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     return float(nll_value) + float(mu) * float(tts_loss_value)

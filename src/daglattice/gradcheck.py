@@ -6,6 +6,8 @@ the closed-form gradient. Relative error uses the larger of the two
 magnitudes in the denominator.
 """
 
+import math
+
 import numpy as np
 
 from . import dp
@@ -26,8 +28,11 @@ def finite_difference_check(lattice, target, step=1e-6, grad_floor=1e-8):
     """Returns {"max_rel_err", "checked", "skipped"} over all finite entries.
 
     Entries whose analytic gradient magnitude is below grad_floor are
-    skipped (relative error is meaningless near zero).
+    skipped (relative error is meaningless near zero). The step must be
+    finite and non-zero.
     """
+    if not (math.isfinite(step) and step != 0):
+        raise ValueError(f"step must be finite and non-zero, got {step}")
     dE, dP = dp.nll_grad(lattice, target)
     max_rel = 0.0
     checked = 0

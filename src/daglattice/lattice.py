@@ -36,6 +36,20 @@ class DimensionError(ValueError):
 class DagLattice:
     """Immutable (E, P, V) triple in log space plus dimensions.
 
+    Construction enforces the structural invariants, and raises
+    DimensionError naming the field when one fails:
+
+    - L >= 1, |V| >= 1, d >= 0;
+    - log_transition is (L, L), log_emission (L, |V|), and hidden_states
+      (L, d) when d > 0 (absent when d == 0);
+    - the graph is a DAG: every log_transition entry on or below the
+      diagonal is exactly -inf, so edges run only from lower to higher
+      vertices and the final row is empty. NaN or +inf there fails too.
+
+    Probability normalisation and positive entries are ``validate``'s to
+    report, not construction's. ``dp`` and ``decode`` rely on the DAG
+    invariant: their tables sum and maximise over strictly increasing paths.
+
     The lattice owns its arrays: construction copies every array it is
     given into a new read-only float64 array, so no view the caller kept
     can change it afterwards. ``dp`` relies on that for its one-entry memo
@@ -78,6 +92,11 @@ class DagLattice:
             hs.setflags(write=False)
         else:
             object.__setattr__(self, "hidden_states", None)
+        lower = np.tri(L, dtype=bool)  # entries (k, j) with j <= k
+        if (lt[lower] != NEG_INF).any():  # NaN fails too
+            k, j = divmod(int(np.flatnonzero((lt != NEG_INF) & lower)[0]), L)
+            raise DimensionError(f"log_transition row {k}: entry {lt[k, j]} at column {j} is on "
+                                 "or below the diagonal, where a DAG has no edge (-inf)")
         lt.setflags(write=False)
         le.setflags(write=False)
 
@@ -161,32 +180,24 @@ class ValidationReport:
         self.violations.append(Violation(kind, index, float(deviation)))
 
 
-@np.errstate(over="ignore")  # e^x of a huge log entry is inf mass, reported as such
+# logsumexp leaves a row whose maximum is NaN or +inf unshifted, so e^x of a
+# huge entry beside it overflows; the row is reported all the same
+@np.errstate(over="ignore")
 def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> ValidationReport:
-    """Check the lattice invariants; never raises, returns a full report.
+    """Check the probability invariants; never raises, returns a full report.
 
-    Checks, per row: no probability mass at or below the diagonal of the
-    transition matrix, rows 0..L-2 normalized over successors, the final row
-    empty, emission rows normalized, and no positive (p > 1) log entries.
+    Reports, in this order: transition rows 0..L-2 not normalized over
+    their successors, emission rows not normalized over the vocabulary, and
+    rows with positive (p > 1) log entries in either matrix. The DAG shape
+    is not checked here: a DagLattice cannot be built without it.
     """
     report = ValidationReport()
-    L = lattice.graph_size
     lt, le = lattice.log_transition, lattice.log_emission
-    lower = np.tri(L, dtype=bool)  # entries (k, j) with j <= k
 
-    for k in np.flatnonzero(np.any((lt > NEG_INF) & lower, axis=1)):
-        report.add("lower_triangle_mass", int(k), float(np.exp(logsumexp(lt[k, : k + 1]))))
-
-    dev = np.abs(logsumexp(np.where(lower[:-1], NEG_INF, lt[:-1]), axis=1))
-    for k in np.flatnonzero(~(dev <= tolerance)):  # catches NaN too
-        report.add("transition_row_norm", int(k), dev[k])
-    last = lt[L - 1]
-    if np.any(last > NEG_INF):
-        report.add("final_row_mass", L - 1, float(np.exp(logsumexp(last))))
-
-    dev = np.abs(logsumexp(le, axis=1))
-    for j in np.flatnonzero(~(dev <= tolerance)):
-        report.add("emission_row_norm", int(j), dev[j])
+    for name, mat in (("transition", lt[:-1]), ("emission", le)):
+        dev = np.abs(logsumexp(mat, axis=1))
+        for k in np.flatnonzero(~(dev <= tolerance)):  # catches NaN too
+            report.add(f"{name}_row_norm", int(k), dev[k])
 
     for name, mat in (("transition", lt), ("emission", le)):
         pos = np.argwhere(mat > 0.0)
@@ -286,7 +297,11 @@ def lattice_to_json_obj(lattice: DagLattice) -> dict:
 def lattice_from_json_obj(obj: dict) -> DagLattice:
     if not isinstance(obj, dict):
         raise LatticeFormatError("top-level JSON value must be an object")
-    for key in ("graph_size", "vocab_size", "hidden_dim", "log_transition", "log_emission"):
+    required = ("graph_size", "vocab_size", "hidden_dim", "log_transition", "log_emission")
+    for key in obj:
+        if key not in required and key != "hidden_states":
+            raise LatticeFormatError(f"unknown field {key[:40]!r}")
+    for key in required:
         if key not in obj:
             raise LatticeFormatError(f"missing field {key!r}")
     for key in ("graph_size", "vocab_size", "hidden_dim"):

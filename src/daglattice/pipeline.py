@@ -42,6 +42,8 @@ def length_regulate(states, durations) -> np.ndarray:
 
     Durations are whole frame counts: an integer array is taken as it is,
     and any other array must hold integral values (a ValueError otherwise).
+    A total that overflows int64, or whose frames cannot be allocated, is a
+    ValueError too.
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     durations = np.asarray(durations)
@@ -57,7 +59,15 @@ def length_regulate(states, durations) -> np.ndarray:
         )
     if np.any(durations < 0):
         raise ValueError("durations must be non-negative")
-    return np.repeat(states, durations, axis=0)
+    total = sum(durations.tolist())  # exact, where an int64 sum would wrap
+    if total >= 2**63:
+        raise ValueError(f"durations add up to {total} frames, more than int64 can count")
+    try:
+        return np.repeat(states, durations, axis=0)
+    except (MemoryError, ValueError) as exc:  # ValueError: larger than any array
+        raise ValueError(
+            f"durations add up to {total} frames, which cannot be allocated: {exc}"
+        ) from exc
 
 
 def _pair(pred, gt, name):

@@ -77,17 +77,10 @@ def validate(lattice, tolerance):
     out = []
     L = lattice.graph_size
     lt, le = lattice.log_transition, lattice.log_emission
-    for k in range(L):
-        row_lower = lt[k, : k + 1]
-        if np.any(row_lower > NEG_INF):
-            out.append(("lower_triangle_mass", k, float(np.exp(logsumexp(row_lower)))))
     for k in range(L - 1):
         dev = abs(float(logsumexp(lt[k, k + 1 :])))
         if not dev <= tolerance:
             out.append(("transition_row_norm", k, dev))
-    last = lt[L - 1]
-    if np.any(last > NEG_INF):
-        out.append(("final_row_mass", L - 1, float(np.exp(logsumexp(last)))))
     for j in range(L):
         dev = abs(float(logsumexp(le[j])))
         if not dev <= tolerance:

@@ -167,6 +167,58 @@ def test_validation_failure_exit_4_and_skip_flag(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+@pytest.mark.parametrize("k, j", [(3, 1), (2, 2), (5, 5)])  # backward, self, final-row self
+def test_backward_and_self_edges_exit_4_even_unvalidated(fixture_dir, capsys, fmt, k, j):
+    bad = fixture_dir / f"bad.{fmt}"
+    if fmt == "json":
+        obj = json.loads((fixture_dir / "lat.json").read_text())
+        obj["log_transition"][k][j] = -1.0
+        bad.write_text(json.dumps(obj))
+    else:
+        data = bytearray((fixture_dir / "lat.bin").read_bytes())
+        struct.pack_into("<d", data, 20 + 8 * (6 * k + j), -1.0)  # L = 6
+        bad.write_bytes(data)
+    for skip in ([], ["--skip-validation"]):
+        code = main(["--no-timing", "score", *skip, "--lattice", str(bad),
+                     "--target", str(fixture_dir / "tgt.json")])
+        captured = capsys.readouterr()
+        assert code == 4, skip
+        assert captured.out == ""
+        assert f"log_transition row {k}: entry -1.0 at column {j}" in captured.err
+        assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["hiden_states", "note"])
+def test_unknown_lattice_fields_exit_2_and_name_the_key(fixture_dir, capsys, key):
+    obj = json.loads((fixture_dir / "lat.json").read_text())
+    obj[key] = obj["hidden_states"]
+    (fixture_dir / "bad.json").write_text(json.dumps(obj))
+    for skip in ([], ["--skip-validation"]):
+        code = main(["--no-timing", "decode", "--strategy", "viterbi", *skip,
+                     "--lattice", str(fixture_dir / "bad.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"unknown field {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("states, durations", [
+    ([[1.0]], [2**59]),  # 2**62 bytes of frames: the allocation fails at once
+    ([[1.0], [2.0]], [2**62, 2**62]),  # the total overflows int64
+])
+def test_durations_that_cannot_become_frames_exit_4(tmp_path, capsys, states, durations):
+    (tmp_path / "states.json").write_text(json.dumps(states))
+    (tmp_path / "d.json").write_text(json.dumps(durations))
+    code = main(["pipeline", "--states", str(tmp_path / "states.json"),
+                 "--durations", str(tmp_path / "d.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"durations add up to {sum(durations)} frames" in captured.err
+    assert "internal error" not in captured.err
+
+
 def test_pipeline_command(tmp_path, capsys):
     (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
     (tmp_path / "dur.json").write_text(json.dumps([2, 3]))
@@ -249,7 +301,7 @@ LOSS_FLAGS = ("pred-mel", "gt-mel", "pred-dur", "gt-dur",
               "pred-pitch", "gt-pitch", "pred-energy", "gt-energy")
 
 
-def _loss_run(tmp_path, bad_flag=None, bad=None):
+def _loss_argv(tmp_path, bad_flag=None, bad=None):
     (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
     (tmp_path / "d.json").write_text(json.dumps([1, 1]))
     argv = ["--no-timing", "pipeline", "--states", str(tmp_path / "states.json"),
@@ -257,7 +309,11 @@ def _loss_run(tmp_path, bad_flag=None, bad=None):
     for flag in LOSS_FLAGS:
         write_input(tmp_path / f"{flag}.json", bad if flag == bad_flag else [1.0, 2])
         argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
-    return main(argv)
+    return argv
+
+
+def _loss_run(tmp_path, bad_flag=None, bad=None):
+    return main(_loss_argv(tmp_path, bad_flag, bad))
 
 
 @pytest.mark.parametrize("bad", [
@@ -284,6 +340,26 @@ def test_pipeline_shape_error_exit_4(tmp_path, capsys):
                  "--durations", str(tmp_path / "dur.json")])
     capsys.readouterr()
     assert code == 4
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("pipeline", "--mu", "nan"), ("pipeline", "--mu", "inf"),
+    ("gradcheck", "--step", "0"), ("gradcheck", "--step", "nan"), ("gradcheck", "--step", "inf"),
+    ("bench", "--repeats", "0"), ("bench", "--repeats", "-2"),
+])
+def test_numbers_outside_their_range_exit_4_and_name_the_argument(fixture_dir, capsys,
+                                                                  command, flag, value):
+    files = ["--lattice", str(fixture_dir / "single.json"),
+             "--target", str(fixture_dir / "single_tgt.json")]
+    argv = {"pipeline": _loss_argv(fixture_dir) + files,
+            "gradcheck": ["gradcheck", *files],
+            "bench": ["bench", "--sizes", "8", "--target-len", "2"]}[command]
+    code = main([*argv, flag, value])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"{flag.lstrip('-')} must be" in captured.err
+    assert "internal error" not in captured.err
 
 
 def test_bench_single_size_null_ratio(capsys):

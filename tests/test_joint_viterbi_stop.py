@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from daglattice import DagLattice, build_random, decode
+from daglattice.lattice import DimensionError
 from daglattice.logspace import NEG_INF
 
 MODES = ("normalized", "raw")
@@ -38,7 +39,7 @@ def joint(lat, select, prune=True):
         try:
             r = decode.joint_viterbi(lat, select)
             out = repr((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
-        except ValueError as exc:  # a non-DAG lattice can read back a bad path
+        except ValueError as exc:  # a NaN or +inf entry can read back a bad path
             out = repr(exc)
     return out, steps[0]
 
@@ -92,7 +93,7 @@ def _corrupt(kind, lat):
         le[L - 2, 0] = np.nan
     elif kind == "inf_emission":
         le[L - 2, 0] = np.inf
-    else:  # lower-triangle mass, as --skip-validation lets through
+    else:  # lower-triangle mass, which construction rejects
         lt[L - 2, 3] = -1.0
     return DagLattice(L, lat.vocab_size, 0, lt, le)
 
@@ -103,6 +104,10 @@ def test_lattices_outside_the_bound_take_the_full_sweep(select, kind):
     for seed in range(4):
         clean = build_random(40, 20, 0, seed)
         assert joint(clean, select)[1] < 39  # the bound fires on the clean lattice
+        if kind == "lower_mass":
+            with pytest.raises(DimensionError, match="log_transition row 38: entry -1.0"):
+                _corrupt(kind, clean)
+            continue
         lat = _corrupt(kind, clean)
         got, steps = joint(lat, select)
         assert got == joint(lat, select, prune=False)[0]

@@ -22,15 +22,26 @@ def test_validate_single_edge_lattice_clean():
     assert validate(lat).ok
 
 
-def test_validate_flags_lower_triangle_mass():
+def test_backward_edge_is_a_construction_error():
     lt = np.full((2, 2), NEG_INF)
     lt[0, 1] = 0.0
     lt[1, 0] = -0.5  # backward edge
     le = np.log(np.full((2, 2), 0.5))
-    lat = DagLattice(2, 2, 0, lt, le)
-    report = validate(lat)
-    kinds = {v.kind for v in report.violations}
-    assert "lower_triangle_mass" in kinds
+    with pytest.raises(DimensionError, match=r"log_transition row 1: entry -0\.5 at column 0"):
+        DagLattice(2, 2, 0, lt, le)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 2.0, np.nan, np.inf])
+def test_entries_on_or_below_the_diagonal_are_construction_errors(value):
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        L = int(rng.integers(1, 9))
+        lat = build_random(L, 3, 2, int(rng.integers(1 << 30)))
+        lt = np.array(lat.log_transition)
+        k = int(rng.integers(L))
+        lt[k, int(rng.integers(k + 1))] = value
+        with pytest.raises(DimensionError, match=f"log_transition row {k}:"):
+            DagLattice(L, 3, 2, lt, lat.log_emission, lat.hidden_states)
 
 
 def test_validate_flags_row_normalization_deviation():
@@ -47,37 +58,54 @@ def test_validate_flags_row_normalization_deviation():
 def test_validate_reports_every_kind_in_order():
     lat = build_random(5, 3, 0, 1)
     lt, le = np.array(lat.log_transition), np.array(lat.log_emission)
-    lt[2, 1] = -1.0  # lower_triangle_mass at row 2
     lt[1, 3] += 0.5  # transition_row_norm at row 1
-    lt[4, 4] = -2.0  # final_row_mass and lower_triangle_mass at row 4
     le[3, 0] -= 0.5  # emission_row_norm at row 3
     lt[0, 2] = 0.5  # positive_transition_entry and transition_row_norm at row 0
     le[1, 2] = 0.25  # positive_emission_entry and emission_row_norm at row 1
     report = validate(DagLattice(5, 3, 0, lt, le))
     assert [(v.kind, v.index) for v in report.violations] == [
-        ("lower_triangle_mass", 2),
-        ("lower_triangle_mass", 4),
         ("transition_row_norm", 0),
         ("transition_row_norm", 1),
-        ("final_row_mass", 4),
         ("emission_row_norm", 1),
         ("emission_row_norm", 3),
         ("positive_transition_entry", 0),
         ("positive_emission_entry", 1),
     ]
     assert all(type(v.index) is int for v in report.violations)
+    # backward mass (row 2) and final-row mass (row 4) cannot reach validate
+    for k, j in ((2, 1), (4, 4)):
+        bad = lt.copy()
+        bad[k, j] = -1.0
+        with pytest.raises(DimensionError, match=f"log_transition row {k}:"):
+            DagLattice(5, 3, 0, bad, le)
+
+
+def test_validate_never_raises_on_an_unshifted_row():
+    # logsumexp does not shift a row whose maximum is +inf or NaN, so e^1000
+    # beside it overflows; validate reports the row instead of warning
+    lat = build_random(4, 3, 0, 2)
+    for top in (np.inf, np.nan):
+        lt = np.array(lat.log_transition)
+        lt[0, 1:3] = top, 1000.0
+        report = validate(DagLattice(4, 3, 0, lt, lat.log_emission))
+        assert ("transition_row_norm", 0) in [(v.kind, v.index) for v in report.violations]
 
 
 def _corrupted(rng):
     """A random lattice with a few entries overwritten by values that break
-    one invariant or another: backward mass, denormalised rows, removed
-    edges, positive entries, NaN."""
+    one invariant or another: denormalised rows, removed edges, positive
+    entries, NaN. Log E is only corrupted above the diagonal, as a lattice
+    with anything else below it cannot be built."""
     L, V = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     lat = build_random(L, V, 0, int(rng.integers(1 << 30)))
     lt, le = np.array(lat.log_transition), np.array(lat.log_emission)
     for _ in range(int(rng.integers(0, 4))):
-        mat = lt if rng.random() < 0.6 else le
-        r, c = int(rng.integers(mat.shape[0])), int(rng.integers(mat.shape[1]))
+        if L > 1 and rng.random() < 0.6:
+            mat = lt
+            r, c = sorted(int(v) for v in rng.choice(L, size=2, replace=False))
+        else:
+            mat = le
+            r, c = int(rng.integers(L)), int(rng.integers(V))
         mat[r, c] = rng.choice([NEG_INF, np.nan, 0.5, mat[r, c] + 1e-3, -3.0,
                                 mat[r, c] - 1e-6])
     return DagLattice(L, V, 0, lt, le)
@@ -157,9 +185,10 @@ def test_truncated_binary_is_parse_error(tmp_path):
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DimensionError):
+    # shape errors come first: the second log E would also fail the DAG check
+    with pytest.raises(DimensionError, match="log_transition shape"):
         DagLattice(3, 2, 0, np.zeros((2, 2)), np.zeros((3, 2)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="hidden_states absent"):
         DagLattice(2, 2, 3, np.zeros((2, 2)), np.zeros((2, 2)), None)
 
 

@@ -39,6 +39,15 @@ class TestLengthRegulate:
         with pytest.raises(ValueError, match="durations"):
             length_regulate(np.zeros((2, 1)), durations)
 
+    @pytest.mark.parametrize("durations", [
+        [2**60],  # 2**63 bytes of frames, more than any array can hold
+        [2**62] * 4,  # an int64 total wraps to 0
+        [2**62] * 3,  # and here to a negative count
+    ])
+    def test_totals_that_cannot_become_frames_rejected(self, durations):
+        with pytest.raises(ValueError, match="durations add up to"):
+            length_regulate(np.zeros((len(durations), 1)), durations)
+
     def test_integral_float_durations_repeat(self):
         frames = length_regulate(np.array([[1.0], [2.0]]), np.array([2.0, 1.0]))
         assert frames[:, 0].tolist() == [1.0, 1.0, 2.0]
