@@ -202,8 +202,8 @@ def _calls_per_sample(lat, target):
 
 
 def cmd_bench(args, lat, target):
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    decode.integer_at_least(args.repeats, "--repeats", 1)
+    decode.integer_at_least(args.target_len, "--target-len", 1)
     sizes = [int(s) for s in args.sizes.split(",")]
     if sizes != sorted(sizes):
         raise ValueError("--sizes must be ascending")

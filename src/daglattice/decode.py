@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, VertexPath
+from .lattice import DagLattice, TargetSequence, VertexPath, memo
 from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
@@ -90,18 +90,16 @@ def _backtrack(phi, step):
 
 def _greedy(lattice: DagLattice):
     """Per-vertex emission argmax tokens and their log-probabilities, as
-    read-only arrays computed once per lattice and kept in a private
-    ``_greedy_memo`` entry of its ``__dict__``, as ``dp`` keeps its tables.
-    They cannot go stale: a lattice's arrays are read-only copies."""
-    memo = lattice.__dict__.get("_greedy_memo")
-    if memo is None:
+    read-only arrays computed once per lattice through lattice.memo."""
+    def build():
         logP = lattice.log_emission
         toks = np.argmax(logP, axis=1)
         logp = logP[np.arange(lattice.graph_size), toks]
         toks.setflags(write=False)
         logp.setflags(write=False)
-        memo = lattice.__dict__["_greedy_memo"] = (toks, logp)
-    return memo
+        return toks, logp
+
+    return memo(lattice, "_greedy", None, build)
 
 
 def _suffix_bound(logE, emit, lam):
@@ -124,16 +122,13 @@ def _suffix_bound(logE, emit, lam):
     times, so the test's left side and the criteria it bounds are off their
     exact values by at most 12 L^2 A 2^-53 in all, plus terms of order
     L A 2^-53, and tau = 32 L^2 A 2^-53 covers both with a margin.
-    The bound needs no NaN, +inf or overflowing path sum; a lattice with one
-    takes the full sweep.
+    A lattice whose path sums could overflow takes the full sweep.
     """
     L = emit.size
     top = max(logE.max(), emit.max())
-    if not top < np.inf:  # NaN compares False
-        return None
     finite = logE > NEG_INF
     A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
-    if not 8.0 * L * A < np.finfo(np.float64).max:
+    if not A < np.finfo(np.float64).max / (8.0 * L):  # 8 L A must not overflow
         return None
     w = logE + (emit - lam)
     m = w.max(axis=1)  # m(L-1) = -inf
@@ -218,15 +213,21 @@ def best_path(lattice: DagLattice, target):
     return VertexPath(tuple(_backtrack(phi, M - 1))), score
 
 
+def integer_at_least(value, name, least):
+    """value as an int when it is an integer, not a bool, of at least
+    `least`; a ValueError naming the argument otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def lookahead(lattice: DagLattice, max_steps=None) -> DecodeResult:
     """Greedy decoding: at each step pick the successor-token pair with the
     highest transition-times-emission probability; stop at the final vertex.
     """
     L = lattice.graph_size
     logE = lattice.log_transition
-    steps = L if max_steps is None else int(max_steps)
-    if steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    steps = L if max_steps is None else integer_at_least(max_steps, "max_steps", 1)
     vertex_best_tok, vertex_best_logp = _greedy(lattice)
 
     cur = 0
@@ -269,8 +270,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     mode); it costs a row maximum and a cumulative sum, and a failed test
     tightens it by one Bellman step. Paths, tokens, scores and the tie rules
     stay bit-identical to the full sweep; exact ties fail the bound and the
-    sweep runs on. A lattice with a NaN or +inf entry, or with L = 1, takes
-    the full sweep.
+    sweep runs on. A lattice with L = 1, or with entries so large that 8 L A
+    overflows, takes the full sweep.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")
@@ -310,7 +311,7 @@ def unmask_count(tau, length) -> int:
     """ceil(tau * M) with a guard against float noise in the product."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    return math.ceil(round(tau * length, 9))
+    return math.ceil(round(tau * integer_at_least(length, "length", 0), 9))
 
 
 def glance_assign(lattice: DagLattice, target, tau, seed=0) -> GlanceAssignment:
@@ -321,7 +322,7 @@ def glance_assign(lattice: DagLattice, target, tau, seed=0) -> GlanceAssignment:
     path, _ = best_path(lattice, y)
     M = y.size
     n = unmask_count(tau, M)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_at_least(seed, "seed", 0))
     mask = np.zeros(M, dtype=bool)
     if n > 0:
         mask[rng.choice(M, size=n, replace=False)] = True

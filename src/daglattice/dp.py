@@ -26,16 +26,13 @@ nll_grad sums the edge posteriors over steps as one (L x (M-1)) by
 
 One training step calls nll, nll_grad and expected_states on the same
 lattice and target, and all three derive from the same two tables. Each
-lattice therefore keeps a one-entry memo of its tables for the last target
-it saw, keyed by the target's int64 token bytes: the forward table once
-log_marginal or nll has run, and the backward table, log marginal and gamma
-once a smoothed quantity has. A different target replaces the whole entry,
-so an entry only ever holds the tables of its own key. The memo fills
-itself through the public forward and backward, which stay uncached: each
-call of those runs the recurrence. It never hands out its arrays; every
-returned table, gradient and state is a fresh array the caller owns. It
-cannot go stale: a lattice copies its arrays on construction into
-read-only arrays of its own, so no view a caller kept can change them.
+lattice therefore memoises them through lattice.memo, keyed by the last
+target's int64 token bytes: the forward table once log_marginal or nll has
+run, and the backward table, log marginal and gamma once a smoothed
+quantity has. The entries fill through the public forward and backward,
+which stay uncached: each call of those runs the recurrence. No entry's
+array is handed out; every returned table, gradient and state is a fresh
+array the caller owns.
 """
 
 import math
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence
+from .lattice import DagLattice, TargetSequence, memo, target_tokens
 from .logspace import NEG_INF, logsumexp
 
 # Shifted sums outside [1e-250, 1e250] are too close to underflow or
@@ -95,9 +92,7 @@ class ExpectedStates:
 
 
 def _tokens(lattice: DagLattice, target) -> np.ndarray:
-    toks = target.tokens if isinstance(target, TargetSequence) else np.asarray(target, dtype=np.int64)
-    if toks.ndim != 1 or toks.size < 1:
-        raise ValueError("target must be a non-empty 1-D token sequence")
+    toks = target.tokens if isinstance(target, TargetSequence) else target_tokens(target)
     if np.any(toks < 0) or np.any(toks >= lattice.vocab_size):
         raise ValueError(
             f"token id out of range [0, {lattice.vocab_size}) in target"
@@ -120,20 +115,18 @@ def _matmul(a, b):
 def _pass_matrix(lattice: DagLattice):
     """(exp(log E - max log E), max log E), edges floored at e^-700.
 
-    Built once per lattice and kept read-only in a private ``_pass_memo``
-    entry of its ``__dict__``, as ``_dp_memo`` is; forward and nll_grad use
-    it as it is and backward its transpose. It cannot go stale: a lattice's
-    arrays are read-only copies.
+    Built once per lattice, read-only, through lattice.memo; forward and
+    nll_grad use it as it is and backward its transpose. The shift is 0
+    when L = 1, where every entry is -inf.
 
     The shift keeps every entry at most 1, so no term of a step overflows,
     and a term lost to underflow or raised to the floor changes its sum by
     less than 1e-300, which cannot matter against a shifted sum of at least
     1e-250. The floor also makes every edge count in a product against a
     0/1 vector: that sum is 0 exactly when no finite term reaches the
-    column. Non-edges stay exactly 0; NaN entries stay NaN.
+    column. Non-edges stay exactly 0.
     """
-    memo = lattice.__dict__.get("_pass_memo")
-    if memo is None:
+    def build():
         logE = lattice.log_transition
         top = np.max(logE)
         if not np.isfinite(top):
@@ -145,8 +138,9 @@ def _pass_matrix(lattice: DagLattice):
         np.exp(expE, out=expE)
         np.multiply(expE, logE != NEG_INF, out=expE)
         expE.setflags(write=False)
-        memo = lattice.__dict__["_pass_memo"] = (expE, top)
-    return memo
+        return expE, top
+
+    return memo(lattice, "_pass_matrix", None, build)
 
 
 def _log_vecmat(x, logE, expE, top):
@@ -202,38 +196,18 @@ def backward(lattice: DagLattice, target) -> BackwardTable:
     return BackwardTable(lb)
 
 
-class _Memo:
-    """DP tables of one lattice for one target, filled on first use."""
-
-    __slots__ = ("key", "forward", "smoothed")
-
-    def __init__(self, key):
-        self.key = key
-        self.forward = None  # ForwardTable
-        self.smoothed = None  # (ForwardTable, BackwardTable, logZ, gamma)
-
-
-def _memo(lattice: DagLattice, y) -> _Memo:
-    """The lattice's memo entry for target y, replaced whole on a new target."""
-    key = y.tobytes()
-    memo = lattice.__dict__.get("_dp_memo")
-    if memo is None or memo.key != key:
-        memo = _Memo(key)
-        lattice.__dict__["_dp_memo"] = memo
-    return memo
-
-
-def _forward_table(lattice: DagLattice, y, memo: _Memo) -> ForwardTable:
-    if memo.forward is None:
+def _forward_table(lattice: DagLattice, y) -> ForwardTable:
+    """The forward table of target y, read-only, from the lattice's memo."""
+    def build():
         ft = forward(lattice, y)
         ft.log_alpha.setflags(write=False)
-        memo.forward = ft
-    return memo.forward
+        return ft
+
+    return memo(lattice, "_dp_forward", y.tobytes(), build)
 
 
 def log_marginal(lattice: DagLattice, target) -> float:
-    y = _tokens(lattice, target)
-    return _forward_table(lattice, y, _memo(lattice, y)).log_marginal
+    return _forward_table(lattice, _tokens(lattice, target)).log_marginal
 
 
 def nll(lattice: DagLattice, target) -> float:
@@ -245,9 +219,8 @@ def nll(lattice: DagLattice, target) -> float:
 def _smoothed(lattice: DagLattice, y):
     """Forward and backward tables, log marginal and gamma of a feasible
     target, from the lattice's memo; the arrays are read-only."""
-    memo = _memo(lattice, y)
-    if memo.smoothed is None:
-        ft = _forward_table(lattice, y, memo)
+    def build():
+        ft = _forward_table(lattice, y)
         logZ = ft.log_marginal
         if logZ == NEG_INF:
             raise InfeasibleTarget(
@@ -257,8 +230,9 @@ def _smoothed(lattice: DagLattice, y):
         gamma = np.exp(ft.log_alpha + bt.log_beta - logZ)
         bt.log_beta.setflags(write=False)
         gamma.setflags(write=False)
-        memo.smoothed = ft, bt, logZ, gamma
-    return memo.smoothed
+        return ft, bt, logZ, gamma
+
+    return memo(lattice, "_dp_smoothed", y.tobytes(), build)
 
 
 def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTable:

@@ -29,7 +29,26 @@ class LatticeFormatError(ValueError):
 
 
 class DimensionError(ValueError):
-    """Matrix shapes disagree with the declared dimensions."""
+    """A lattice or target that breaks a structural invariant: a shape that
+    disagrees with the declared dimensions, an edge that is not a DAG's, or
+    an entry that is not finite (-inf aside in the log matrices)."""
+
+
+def memo(lattice, name, key, build):
+    """build() for the last key asked under name, kept in the lattice's
+    ``__dict__`` outside the dataclass fields, so it takes no part in
+    ``==``, ``repr`` or serialization. A new key replaces the entry whole,
+    so an entry only ever holds what was built for its own key.
+
+    An entry cannot go stale: a lattice copies every array it is given into
+    a read-only array of its own, so no view a caller kept can change what
+    an entry was built from. Threads sharing a lattice may build the same
+    entry twice; each gets what it built.
+    """
+    entry = lattice.__dict__.get(name)
+    if entry is None or entry[0] != key:
+        entry = lattice.__dict__[name] = key, build()
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -44,20 +63,18 @@ class DagLattice:
       (L, d) when d > 0 (absent when d == 0);
     - the graph is a DAG: every log_transition entry on or below the
       diagonal is exactly -inf, so edges run only from lower to higher
-      vertices and the final row is empty. NaN or +inf there fails too.
+      vertices and the final row is empty;
+    - every log-matrix entry is finite or -inf, and every hidden state is
+      finite: NaN and +inf fail, and the error names the row and column.
 
     Probability normalisation and positive entries are ``validate``'s to
-    report, not construction's. ``dp`` and ``decode`` rely on the DAG
-    invariant: their tables sum and maximise over strictly increasing paths.
+    report, not construction's. ``dp`` and ``decode`` rely on these
+    invariants: their tables sum and maximise over strictly increasing
+    paths of finite scores.
 
     The lattice owns its arrays: construction copies every array it is
     given into a new read-only float64 array, so no view the caller kept
-    can change it afterwards. ``dp`` relies on that for its one-entry memo
-    of the forward and backward tables for the last target and for its
-    pass matrix (private ``_dp_memo`` and ``_pass_memo`` attributes outside
-    the dataclass fields, so they take no part in ``==``, ``repr`` or
-    serialization): a memoised table always belongs to the arrays the
-    lattice holds.
+    can change it afterwards. ``memo`` relies on that.
     """
 
     graph_size: int
@@ -97,6 +114,14 @@ class DagLattice:
             k, j = divmod(int(np.flatnonzero((lt != NEG_INF) & lower)[0]), L)
             raise DimensionError(f"log_transition row {k}: entry {lt[k, j]} at column {j} is on "
                                  "or below the diagonal, where a DAG has no edge (-inf)")
+        # a maximum is NaN when any entry is; only the log matrices may hold -inf
+        hs = self.hidden_states
+        for name, arr in (("log_transition", lt), ("log_emission", le),
+                          ("hidden_states", None if hs is None else np.abs(hs))):
+            if arr is not None and not arr.max() < np.inf:
+                k, j = divmod(int(np.flatnonzero(~(arr < np.inf))[0]), arr.shape[1])
+                raise DimensionError(f"{name} row {k}: entry {getattr(self, name)[k, j]} at "
+                                     f"column {j} is not a finite number")
         lt.setflags(write=False)
         le.setflags(write=False)
 
@@ -118,16 +143,30 @@ class DagLattice:
         return np.array_equal(self.hidden_states, other.hidden_states)
 
 
+def target_tokens(value) -> np.ndarray:
+    """A target as a non-empty 1-D int64 array, read as strictly as
+    load_integers reads a file: numpy must make an integer array of it that
+    casts to int64 without loss, so floats, booleans (in a list of integers
+    too) and uint64 fail with a ValueError naming the target. An int64
+    array comes back as it is."""
+    toks = np.asarray(value)
+    if toks.ndim != 1 or toks.size < 1:
+        raise DimensionError("target must be a non-empty 1-D token sequence")
+    if (toks.dtype.kind not in "iu" or not np.can_cast(toks.dtype, np.int64)
+            or value is not toks and any(isinstance(t, (bool, np.bool_)) for t in value)):
+        raise ValueError("target must hold 64-bit integers, not booleans, floats or other values")
+    return toks.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class TargetSequence:
-    """Integer token-id sequence of length M >= 1."""
+    """Integer token-id sequence of length M >= 1, in a read-only int64
+    array of its own (see target_tokens)."""
 
     tokens: np.ndarray
 
     def __post_init__(self):
-        toks = np.ascontiguousarray(self.tokens, dtype=np.int64)
-        if toks.ndim != 1 or toks.size < 1:
-            raise DimensionError("target must be a non-empty 1-D token sequence")
+        toks = target_tokens(self.tokens).copy()
         object.__setattr__(self, "tokens", toks)
         toks.setflags(write=False)
 
@@ -180,8 +219,8 @@ class ValidationReport:
         self.violations.append(Violation(kind, index, float(deviation)))
 
 
-# logsumexp leaves a row whose maximum is NaN or +inf unshifted, so e^x of a
-# huge entry beside it overflows; the row is reported all the same
+# logsumexp shifts a row by its maximum, and a row that holds both -1e308
+# and 1e308 overflows the shift; the row is reported all the same
 @np.errstate(over="ignore")
 def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> ValidationReport:
     """Check the probability invariants; never raises, returns a full report.
@@ -196,7 +235,7 @@ def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> Validati
 
     for name, mat in (("transition", lt[:-1]), ("emission", le)):
         dev = np.abs(logsumexp(mat, axis=1))
-        for k in np.flatnonzero(~(dev <= tolerance)):  # catches NaN too
+        for k in np.flatnonzero(dev > tolerance):
             report.add(f"{name}_row_norm", int(k), dev[k])
 
     for name, mat in (("transition", lt), ("emission", le)):

@@ -346,6 +346,7 @@ def test_pipeline_shape_error_exit_4(tmp_path, capsys):
     ("pipeline", "--mu", "nan"), ("pipeline", "--mu", "inf"),
     ("gradcheck", "--step", "0"), ("gradcheck", "--step", "nan"), ("gradcheck", "--step", "inf"),
     ("bench", "--repeats", "0"), ("bench", "--repeats", "-2"),
+    ("bench", "--target-len", "0"), ("bench", "--target-len", "-1"),
 ])
 def test_numbers_outside_their_range_exit_4_and_name_the_argument(fixture_dir, capsys,
                                                                   command, flag, value):

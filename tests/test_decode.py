@@ -106,6 +106,16 @@ class TestLookahead:
         if r.path.vertices[-1] != 7:
             assert r.truncated
 
+    @pytest.mark.parametrize("steps", [2.9, 2.0, math.inf, math.nan, True, "2", 0, -1])
+    def test_max_steps_must_be_a_positive_integer(self, steps):
+        lat = build_random(8, 5, 0, 29)
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            lookahead(lat, max_steps=steps)
+
+    def test_max_steps_accepts_numpy_integers(self):
+        lat = build_random(8, 5, 0, 29)
+        assert lookahead(lat, max_steps=np.int32(2)) == lookahead(lat, max_steps=2)
+
 
 class TestJointViterbi:
     def test_single_path_beats_lookahead(self, single_path_lattice):
@@ -177,6 +187,18 @@ class TestGlance:
         ref, _ = best_path(lat, y)
         assert ga.path.vertices == ref.vertices
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, None, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        lat = build_random(8, 5, 0, 11)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            glance_assign(lat, [1, 2, 3, 0, 4], 0.5, seed=seed)
+
+    def test_seed_accepts_numpy_integers(self):
+        lat = build_random(8, 5, 0, 11)
+        a = glance_assign(lat, [1, 2, 3, 0, 4], 0.5, seed=np.uint8(3))
+        b = glance_assign(lat, [1, 2, 3, 0, 4], 0.5, seed=3)
+        assert np.array_equal(a.observed_mask, b.observed_mask)
+
 
 class TestTauSchedule:
     def test_anneal_start(self):
@@ -202,3 +224,10 @@ def test_unmask_count_matches_exact_ceil(tenths, m):
     from fractions import Fraction
 
     assert unmask_count(tenths / 10, m) == math.ceil(Fraction(tenths, 10) * m)
+
+
+@pytest.mark.parametrize("length", [-3, 2.5, 2.0, True, math.nan])
+def test_unmask_count_length_must_be_a_non_negative_integer(length):
+    with pytest.raises(ValueError, match="length must be an integer >= 0"):
+        unmask_count(0.5, length)
+    assert unmask_count(0.5, np.int64(3)) == unmask_count(0.5, 3) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from daglattice import (
     InfeasibleTarget,
     MissingHiddenStates,
+    TargetSequence,
     backward,
     build_random,
     composite_loss,
@@ -49,6 +50,25 @@ class TestForward:
         lat = build_random(4, 3, 0, 0)
         with pytest.raises(ValueError):
             forward(lat, [0, 3])
+
+    @pytest.mark.parametrize("target", [
+        [1.7, 2.2], [1.0, 2.0], [True, False], [1, True], (np.int64(1), np.True_),
+        np.array([1, 2], dtype=np.uint64), ["1", "2"],
+    ])
+    def test_rejects_targets_that_are_not_integers(self, target):
+        lat = build_random(4, 3, 0, 0)
+        for call in (forward, nll, lambda lat, y: TargetSequence(y)):
+            with pytest.raises(ValueError, match="target must hold 64-bit integers"):
+                call(lat, target)
+
+    def test_integer_dtypes_are_targets(self):
+        lat = build_random(4, 3, 0, 0)
+        want = nll(lat, [1, 2])
+        for dtype in (np.int8, np.uint8, np.int32, np.uint32, np.int64):
+            y = np.array([1, 2], dtype=dtype)
+            assert nll(lat, y) == want
+            assert nll(lat, TargetSequence(y)) == want
+            assert y.flags.writeable  # TargetSequence holds a copy of its own
 
 
 class TestBackward:

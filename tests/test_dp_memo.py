@@ -1,7 +1,7 @@
-"""The per-lattice memo of DP tables: one forward and one backward pass per
-(lattice, target), results identical to an unmemoised computation, and
-forward/backward themselves left uncached. Also the per-lattice greedy
-tokens that the decoders share."""
+"""The per-lattice memo entries (lattice.memo) of DP tables: one forward
+and one backward pass per (lattice, target), results identical to an
+unmemoised computation, and forward/backward themselves left uncached. Also
+the per-lattice pass matrix and the greedy tokens that the decoders share."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -140,13 +140,13 @@ def test_pass_matrix_built_once_per_lattice():
     lat = fresh()
     a, b = targets()[:2]
     dp.forward(lat, a)
-    expE, top = vars(lat)["_pass_memo"]
-    assert not expE.flags.writeable
+    key, (expE, top) = vars(lat)["_pass_matrix"]
+    assert key is None and not expE.flags.writeable
     for y in (a, b):
         dp.nll_grad(lat, y)
         dp.backward(lat, y)
-    assert vars(lat)["_pass_memo"][0] is expE
-    assert vars(lat)["_pass_memo"][1] == top
+    assert vars(lat)["_pass_matrix"][1][0] is expE
+    assert vars(lat)["_pass_matrix"][1][1] == top
 
 
 def test_callers_own_their_outputs():
@@ -189,7 +189,7 @@ def test_memo_is_invisible_to_equality_repr_and_saving(tmp_path):
     used, unused = fresh(), fresh()
     dp.nll_grad(used, targets()[0])
     decode.joint_viterbi(used)
-    memos = ("_dp_memo", "_pass_memo", "_greedy_memo")
+    memos = ("_dp_forward", "_dp_smoothed", "_pass_matrix", "_greedy")
     assert all(name in vars(used) for name in memos)
     assert not any(name in vars(unused) for name in memos)
     assert used == unused

@@ -1,7 +1,8 @@
 """joint_viterbi's early stop: once a longest-path bound proves that no
 longer length can beat the best criterion so far, the step sweep ends. Its
 results must equal the unpruned sweep's bit for bit, in both length modes,
-and lattices the bound does not cover must take the full sweep."""
+and lattices the bound does not cover must take the full sweep; lattices
+with NaN or +inf entries cannot be built."""
 
 from fractions import Fraction
 
@@ -19,9 +20,9 @@ MODES = ("normalized", "raw")
 
 
 def joint(lat, select, prune=True):
-    """(outcome, steps): joint_viterbi's path, tokens and score as a repr
-    (so that NaN scores compare equal), or its ValueError, and the last step
-    the sweep computed. prune=False runs the unpruned sweep."""
+    """(outcome, steps): joint_viterbi's path, tokens and score as a repr,
+    and the last step the sweep computed. prune=False runs the unpruned
+    sweep."""
     real = decode._longer_cannot_win
     steps = [0]
 
@@ -34,14 +35,10 @@ def joint(lat, select, prune=True):
 
         return counted
 
-    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decode, "_longer_cannot_win", rule)
-        try:
-            r = decode.joint_viterbi(lat, select)
-            out = repr((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
-        except ValueError as exc:  # a NaN or +inf entry can read back a bad path
-            out = repr(exc)
-    return out, steps[0]
+        r = decode.joint_viterbi(lat, select)
+    return repr((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob)), steps[0]
 
 
 @pytest.mark.parametrize("select", MODES)
@@ -82,33 +79,34 @@ def test_longest_length_wins_after_the_full_sweep(select, dip):
     assert decode.joint_viterbi(lat, select).path.vertices == tuple(range(L))
 
 
-def _corrupt(kind, lat):
-    L = lat.graph_size
-    lt, le = np.array(lat.log_transition), np.array(lat.log_emission)
-    if kind == "nan_edge":
-        lt[L - 3, L - 1] = np.nan
-    elif kind == "inf_edge":
-        lt[2, L - 1] = np.inf
-    elif kind == "nan_emission":
-        le[L - 2, 0] = np.nan
-    elif kind == "inf_emission":
-        le[L - 2, 0] = np.inf
-    else:  # lower-triangle mass, which construction rejects
-        lt[L - 2, 3] = -1.0
-    return DagLattice(L, lat.vocab_size, 0, lt, le)
+# kind: (matrix, row, column, value, the construction error or None)
+CORRUPTIONS = {
+    "nan_edge": ("lt", 37, 39, np.nan, "log_transition row 37: entry nan at column 39"),
+    "inf_edge": ("lt", 2, 39, np.inf, "log_transition row 2: entry inf at column 39"),
+    "nan_emission": ("le", 38, 0, np.nan, "log_emission row 38: entry nan at column 0"),
+    "inf_emission": ("le", 38, 0, np.inf, "log_emission row 38: entry inf at column 0"),
+    "lower_mass": ("lt", 38, 3, -1.0, "log_transition row 38: entry -1.0 at column 3"),
+    # finite, but 8 L A overflows, so the rounding margin cannot be bounded
+    "huge_edge": ("lt", 37, 39, -1e307, None),
+}
 
 
-@pytest.mark.parametrize("kind", ["nan_edge", "inf_edge", "nan_emission", "inf_emission", "lower_mass"])
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("select", MODES)
 def test_lattices_outside_the_bound_take_the_full_sweep(select, kind):
+    """A lattice with NaN, +inf or lower-triangle mass cannot be built;
+    one whose entries could overflow the bound's margin runs every step."""
+    which, row, col, value, error = CORRUPTIONS[kind]
     for seed in range(4):
         clean = build_random(40, 20, 0, seed)
         assert joint(clean, select)[1] < 39  # the bound fires on the clean lattice
-        if kind == "lower_mass":
-            with pytest.raises(DimensionError, match="log_transition row 38: entry -1.0"):
-                _corrupt(kind, clean)
+        lt, le = np.array(clean.log_transition), np.array(clean.log_emission)
+        (lt if which == "lt" else le)[row, col] = value
+        if error is not None:
+            with pytest.raises(DimensionError, match=error):
+                DagLattice(40, 20, 0, lt, le)
             continue
-        lat = _corrupt(kind, clean)
+        lat = DagLattice(40, 20, 0, lt, le)
         got, steps = joint(lat, select)
         assert got == joint(lat, select, prune=False)[0]
         assert steps == 39

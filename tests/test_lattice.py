@@ -44,6 +44,33 @@ def test_entries_on_or_below_the_diagonal_are_construction_errors(value):
             DagLattice(L, 3, 2, lt, lat.log_emission, lat.hidden_states)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("log_transition", np.nan), ("log_transition", np.inf),
+    ("log_emission", np.nan), ("log_emission", np.inf),
+    ("hidden_states", np.nan), ("hidden_states", np.inf), ("hidden_states", -np.inf),
+])
+def test_nan_and_inf_entries_are_construction_errors(field, value):
+    """NaN and +inf fail anywhere, -inf too in the hidden states; the error
+    names the field, the row and the column. Log E is corrupted above the
+    diagonal, where a DAG may have an edge."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        L, V, d = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        lat = build_random(L, V, d, int(rng.integers(1 << 30)))
+        arrays = {name: np.array(getattr(lat, name))
+                  for name in ("log_transition", "log_emission", "hidden_states")}
+        arr = arrays[field]
+        if field == "log_transition":
+            k, j = sorted(int(v) for v in rng.choice(L, size=2, replace=False))
+        else:
+            k, j = int(rng.integers(L)), int(rng.integers(arr.shape[1]))
+        arr[k, j] = value
+        with pytest.raises(DimensionError,
+                           match=f"{field} row {k}: entry {value} at column {j} is not a finite"):
+            DagLattice(L, V, d, arrays["log_transition"], arrays["log_emission"],
+                       arrays["hidden_states"])
+
+
 def test_validate_flags_row_normalization_deviation():
     lt = np.full((2, 2), NEG_INF)
     lt[0, 1] = np.log(0.9)
@@ -81,20 +108,26 @@ def test_validate_reports_every_kind_in_order():
 
 
 def test_validate_never_raises_on_an_unshifted_row():
-    # logsumexp does not shift a row whose maximum is +inf or NaN, so e^1000
-    # beside it overflows; validate reports the row instead of warning
+    # logsumexp would not shift a row whose maximum is +inf or NaN, so e^1000
+    # beside it would overflow; such a row cannot be built. A finite row
+    # with -1e308 beside 1e308 overflows the shift instead, and validate
+    # reports it without a warning
     lat = build_random(4, 3, 0, 2)
+    lt = np.array(lat.log_transition)
     for top in (np.inf, np.nan):
-        lt = np.array(lat.log_transition)
         lt[0, 1:3] = top, 1000.0
-        report = validate(DagLattice(4, 3, 0, lt, lat.log_emission))
-        assert ("transition_row_norm", 0) in [(v.kind, v.index) for v in report.violations]
+        with pytest.raises(DimensionError, match=f"log_transition row 0: entry {top} at column 1"):
+            DagLattice(4, 3, 0, lt, lat.log_emission)
+    lt[0, 1:3] = -1e308, 1e308
+    report = validate(DagLattice(4, 3, 0, lt, lat.log_emission))
+    assert [(v.kind, v.index) for v in report.violations] == [
+        ("transition_row_norm", 0), ("positive_transition_entry", 0)]
 
 
 def _corrupted(rng):
     """A random lattice with a few entries overwritten by values that break
     one invariant or another: denormalised rows, removed edges, positive
-    entries, NaN. Log E is only corrupted above the diagonal, as a lattice
+    entries. Log E is only corrupted above the diagonal, as a lattice
     with anything else below it cannot be built."""
     L, V = int(rng.integers(1, 9)), int(rng.integers(1, 5))
     lat = build_random(L, V, 0, int(rng.integers(1 << 30)))
@@ -106,8 +139,7 @@ def _corrupted(rng):
         else:
             mat = le
             r, c = int(rng.integers(L)), int(rng.integers(V))
-        mat[r, c] = rng.choice([NEG_INF, np.nan, 0.5, mat[r, c] + 1e-3, -3.0,
-                                mat[r, c] - 1e-6])
+        mat[r, c] = rng.choice([NEG_INF, 0.5, mat[r, c] + 1e-3, -3.0, mat[r, c] - 1e-6])
     return DagLattice(L, V, 0, lt, le)
 
 
