@@ -103,8 +103,7 @@ def _greedy(lattice: DagLattice):
 
 
 def _suffix_bound(logE, emit, lam):
-    """(w, U, tau) for the joint Viterbi stopping rule, or None when the
-    guards rule the bound out.
+    """(w, U, tau) for the joint Viterbi stopping rule.
 
     w = logE + emit - lam weighs each edge by the vertex it enters, and U
     bounds R(j), the best w-score of a path from j to L-1 with at least one
@@ -121,21 +120,20 @@ def _suffix_bound(logE, emit, lam):
     rounds once on top of a U(k), k > j) and delta[i, j] at most i <= j
     times, so the test's left side and the criteria it bounds are off their
     exact values by at most 12 L^2 A 2^-53 in all, plus terms of order
-    L A 2^-53, and tau = 32 L^2 A 2^-53 covers both with a margin.
-    A lattice whose path sums could overflow takes the full sweep.
+    L A 2^-53, and tau = 32 L^2 A 2^-53 covers both with a margin. A
+    DagLattice keeps A below the largest float over 8 L, so none of these
+    sums can overflow.
     """
     L = emit.size
     top = max(logE.max(), emit.max())
     finite = logE > NEG_INF
     A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
-    if not A < np.finfo(np.float64).max / (8.0 * L):  # 8 L A must not overflow
-        return None
     w = logE + (emit - lam)
     m = w.max(axis=1)  # m(L-1) = -inf
     U = np.zeros(L)
     np.cumsum(np.maximum(m[-2:0:-1], 0.0), out=U[-3::-1])  # from v = L-2 down
     U[:-1] += m[:-1]
-    return w, U, 32.0 * L * L * A * 2.0**-53
+    return w, U, 32.0 * L * L * 2.0**-53 * A  # A last: 32 L^2 A itself may overflow
 
 
 def _tighten(w, U, i):
@@ -161,7 +159,7 @@ def _longer_cannot_win(logE, emit, normalized):
     """
     L = emit.size
     best = NEG_INF
-    bound = None  # (w, U, tau) once computed, w None once U = R; False if the guards fail
+    bound = None  # (w, U, tau) once computed, w None once U = R
     next_test = 0
 
     def done(i, row):
@@ -170,7 +168,7 @@ def _longer_cannot_win(logE, emit, normalized):
         if crit > best:
             best = crit
         elif bound is None and best > NEG_INF:
-            bound = _suffix_bound(logE, emit, best if normalized else 0.0) or False
+            bound = _suffix_bound(logE, emit, best if normalized else 0.0)
         if not bound or i < next_test:
             return False
         # after a failed test the gaps grow, so a bound that never fires
@@ -270,8 +268,7 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     mode); it costs a row maximum and a cumulative sum, and a failed test
     tightens it by one Bellman step. Paths, tokens, scores and the tie rules
     stay bit-identical to the full sweep; exact ties fail the bound and the
-    sweep runs on. A lattice with L = 1, or with entries so large that 8 L A
-    overflows, takes the full sweep.
+    sweep runs on. A lattice with L = 1 takes the full sweep.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")
@@ -299,10 +296,10 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
 
 
 def tau_schedule(step, total_steps, tau_start=0.5, tau_end=0.1) -> float:
-    """Linear anneal of the unmasking ratio from tau_start to tau_end."""
-    if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
-    if not 0 <= step <= total_steps:
+    """Linear anneal of the unmasking ratio from tau_start to tau_end over
+    integer steps 0..total_steps."""
+    total_steps = integer_at_least(total_steps, "total_steps", 1)
+    if integer_at_least(step, "step", 0) > total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return tau_start + (tau_end - tau_start) * step / total_steps
 

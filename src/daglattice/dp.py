@@ -10,15 +10,20 @@ marginal of the target is log alpha_M(L); posteriors, expected hidden
 states, and the analytic NLL gradient all derive from the two tables.
 Indices are 0-based throughout this module.
 
-The alpha/beta tables are stored in log space. Each step is computed as a
-max-shifted matrix-vector product against exp(log E), taken once per lattice:
-the previous row is shifted by its maximum, exponentiated, multiplied
-through BLAS, and the log taken. The row's 0/1 finite pattern goes through
-the same product as a second row, against edges floored away from zero,
-and marks vertices with no finite predecessor as exactly -inf. Vertices
-whose shifted sum falls outside [1e-250, 1e250] or is not finite (underflow
-of very small entries, overflow of unnormalized ones) are recomputed by the
-exact log-space reduction, so no precision is lost at the extremes.
+The alpha/beta tables are stored in log space. forward and backward share
+one sweep, and each of its steps is a max-shifted matrix-vector product
+against exp(log E), taken once per lattice: the previous row is shifted by
+its maximum and exponentiated, its 0/1 finite pattern joins it as a second
+row, one BLAS product sums both, and the log of the sum row goes into a
+per-pass table beside the counts of finite terms. A vertex with no finite
+predecessor sums to exactly 0, hence -inf. Once the pass is done, one
+vectorised test looks for a column with finite terms whose shifted sum
+fell outside [1e-250, 1e250] or is not finite (underflow of very small
+entries, overflow of unnormalized ones). If there is one, every step from
+the first such column on is recomputed by _log_vecmat, which takes the
+exact log-space reduction there. So the tables are bit-identical to
+running _log_vecmat on every step, and no precision is lost at the
+extremes; on normalized lattices no column misses and no step reruns.
 
 nll_grad sums the edge posteriors over steps as one (L x (M-1)) by
 ((M-1) x L) product with per-step max shifts, times E, and never builds the
@@ -100,13 +105,14 @@ def _tokens(lattice: DagLattice, target) -> np.ndarray:
     return toks
 
 
-def _matmul(a, b):
+def _matmul(a, b, out=None):
     """a @ b for a vector or matrix a, in column blocks of b small enough
     that each BLAS call runs on the calling thread."""
     step = max(1, _BLAS_BLOCK // max(a.size, 1))
     if step >= b.shape[-1]:
-        return a @ b
-    out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-1:], np.result_type(a, b))
     for j in range(0, b.shape[-1], step):
         np.matmul(a, b[:, j:j + step], out=out[..., j:j + step])
     return out
@@ -168,31 +174,64 @@ def _log_vecmat(x, logE, expE, top):
     return out
 
 
+def _sweep(x0, addend, out, logE, expE, top):
+    """out[t] = _log_vecmat(x_t, logE, expE, top) for t = 0..n-1, where
+    x_t = out[t-1] + addend[t-1] after x_0, with one range test per pass.
+
+    Each step keeps the log of its shifted sums and its finite counts in a
+    per-pass table and goes on at once. Afterwards, every step from the
+    first one with a column that _log_vecmat would recompute runs again
+    through _log_vecmat, so out is bit-identical to calling it every step.
+    """
+    n, L = out.shape
+    x = x0
+    rows = np.empty((2, L))
+    shifted, finite = rows
+    sums = np.empty((n, 2, L))  # per step: log of the shifted sums, finite counts
+    with np.errstate(all="ignore"):
+        for t in range(n):
+            if t:  # x_t goes into the pattern row, which overwrites it last
+                x = np.add(out[t - 1], addend[t - 1], out=finite)
+            m = np.maximum.reduce(x)
+            shift = m if math.isfinite(m) else 0.0
+            np.subtract(x, shift, out=shifted)
+            np.exp(shifted, out=shifted)
+            np.not_equal(x, NEG_INF, out=finite)
+            log_sum = _matmul(rows, expE, out=sums[t])[0]
+            np.log(log_sum, out=log_sum)
+            np.add(log_sum, shift + top, out=out[t])
+    miss = ~(np.abs(sums[:, 0]) <= _LOG_SUM_MAX) & (sums[:, 1] != 0)
+    if miss.any():
+        for t in range(int(np.flatnonzero(miss)[0]) // L, n):
+            x = out[t - 1] + addend[t - 1] if t else x0
+            out[t] = _log_vecmat(x, logE, expE, top)
+
+
 def forward(lattice: DagLattice, target) -> ForwardTable:
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    logE = lattice.log_transition
     emit = lattice.log_emission[:, y].T  # (M, L)
     expE, top = _pass_matrix(lattice)
     la = np.full((M, L), NEG_INF)
     la[0, 0] = emit[0, 0]
-    for i in range(1, M):
-        # inner reduction over predecessors k; log E is -inf unless k < j
-        np.add(emit[i], _log_vecmat(la[i - 1], logE, expE, top), out=la[i])
+    # the sweep leaves the sums over predecessors k (log E is -inf unless
+    # k < j) in la[1:], and adds the emissions only into its next input
+    _sweep(la[0], emit[1:], la[1:], lattice.log_transition, expE, top)
+    la[1:] += emit[1:]
     return ForwardTable(la)
 
 
 def backward(lattice: DagLattice, target) -> BackwardTable:
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    logE = lattice.log_transition.T  # reduce over successors, without a copy
     emit = lattice.log_emission[:, y].T
     expE, top = _pass_matrix(lattice)
-    expE = expE.T  # over successors: the same F-ordered operand as exp(log E.T)
     lb = np.full((M, L), NEG_INF)
     lb[M - 1, L - 1] = 0.0
-    for i in range(M - 2, -1, -1):
-        lb[i] = _log_vecmat(lb[i + 1] + emit[i + 1], logE, expE, top)
+    # reduce over successors, on transposed views: expE.T is the same
+    # F-ordered operand as exp(log E.T); rows run from step M-2 down to 0
+    _sweep(lb[M - 1] + emit[M - 1], emit[1:M - 1][::-1], lb[:M - 1][::-1],
+           lattice.log_transition.T, expE.T, top)
     return BackwardTable(lb)
 
 

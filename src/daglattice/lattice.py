@@ -6,7 +6,8 @@ probability (log_transition, strictly upper triangular in probability mass).
 Vertex indices are 0-based here and in files, 1-based in docs and CLI output.
 Every input file is read here: one that cannot be read, or holds a value its
 field does not accept, raises LatticeFormatError naming the file or field.
-Numbers must be finite, except -inf in the log matrices.
+Numbers must be finite, except -inf in the log matrices, where a finite
+entry must also be smaller in magnitude than the largest float over 8 L.
 """
 
 import json
@@ -31,7 +32,8 @@ class LatticeFormatError(ValueError):
 class DimensionError(ValueError):
     """A lattice or target that breaks a structural invariant: a shape that
     disagrees with the declared dimensions, an edge that is not a DAG's, or
-    an entry that is not finite (-inf aside in the log matrices)."""
+    an entry that is not finite (-inf aside in the log matrices) or whose
+    path sums could overflow."""
 
 
 def memo(lattice, name, key, build):
@@ -64,8 +66,10 @@ class DagLattice:
     - the graph is a DAG: every log_transition entry on or below the
       diagonal is exactly -inf, so edges run only from lower to higher
       vertices and the final row is empty;
-    - every log-matrix entry is finite or -inf, and every hidden state is
-      finite: NaN and +inf fail, and the error names the row and column.
+    - every log-matrix entry is -inf or finite with magnitude below
+      finfo(float64).max / (8 L), and every hidden state is finite: NaN,
+      +inf and huge entries fail, and the error names the row and column.
+      So no sum of up to 8 L entries, such as a path score, can overflow.
 
     Probability normalisation and positive entries are ``validate``'s to
     report, not construction's. ``dp`` and ``decode`` rely on these
@@ -114,14 +118,23 @@ class DagLattice:
             k, j = divmod(int(np.flatnonzero((lt != NEG_INF) & lower)[0]), L)
             raise DimensionError(f"log_transition row {k}: entry {lt[k, j]} at column {j} is on "
                                  "or below the diagonal, where a DAG has no edge (-inf)")
-        # a maximum is NaN when any entry is; only the log matrices may hold -inf
+        # path sums of up to 8 L entries below big cannot overflow. A maximum
+        # is NaN when any entry is; entries at or below -big are looked at
+        # one by one only when the minimum is, as it is when one is masked
+        big = np.finfo(np.float64).max / (8.0 * L)
+        for name, arr in (("log_transition", lt), ("log_emission", le)):
+            if arr.max() < big and (arr.min() > -big or ((arr > -big) | (arr == NEG_INF)).all()):
+                continue
+            bad = ~((np.abs(arr) < big) | (arr == NEG_INF))
+            k, j = divmod(int(np.flatnonzero(bad)[0]), arr.shape[1])
+            raise DimensionError(f"{name} row {k}: entry {arr[k, j]} at column {j} is not a "
+                                 f"finite number of magnitude below {big:.4g}, the largest "
+                                 "float over 8 L")
         hs = self.hidden_states
-        for name, arr in (("log_transition", lt), ("log_emission", le),
-                          ("hidden_states", None if hs is None else np.abs(hs))):
-            if arr is not None and not arr.max() < np.inf:
-                k, j = divmod(int(np.flatnonzero(~(arr < np.inf))[0]), arr.shape[1])
-                raise DimensionError(f"{name} row {k}: entry {getattr(self, name)[k, j]} at "
-                                     f"column {j} is not a finite number")
+        if hs is not None and not np.abs(hs).max() < np.inf:
+            k, j = divmod(int(np.flatnonzero(~np.isfinite(hs))[0]), hs.shape[1])
+            raise DimensionError(f"hidden_states row {k}: entry {hs[k, j]} at column {j} "
+                                 "is not a finite number")
         lt.setflags(write=False)
         le.setflags(write=False)
 
@@ -219,9 +232,6 @@ class ValidationReport:
         self.violations.append(Violation(kind, index, float(deviation)))
 
 
-# logsumexp shifts a row by its maximum, and a row that holds both -1e308
-# and 1e308 overflows the shift; the row is reported all the same
-@np.errstate(over="ignore")
 def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> ValidationReport:
     """Check the probability invariants; never raises, returns a full report.
 

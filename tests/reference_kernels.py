@@ -6,11 +6,15 @@ temporary, the NLL gradient sums the (M-1, L, L) edge-posterior tensor, and
 the max-plus step reduces along axis 0, and validation checks one row at a
 time. They are slow but obviously right; tests compare
 dp.forward/backward/posterior/nll_grad, the decode tables and
-lattice.validate against them.
+lattice.validate against them. stepwise_forward and stepwise_backward are
+the BLAS passes with the range test and exact fallback of dp._log_vecmat
+run on every step, which dp's one-test-per-pass sweep must match bit for
+bit.
 """
 
 import numpy as np
 
+from daglattice import dp
 from daglattice.logspace import NEG_INF, logsumexp
 
 
@@ -31,6 +35,30 @@ def backward(lattice, y):
     lb[M - 1, L - 1] = 0.0
     for i in range(M - 2, -1, -1):
         lb[i] = logsumexp(logE + (lb[i + 1] + logP[:, y[i + 1]])[None, :], axis=1)
+    return lb
+
+
+def stepwise_forward(lattice, y):
+    M, L = len(y), lattice.graph_size
+    logE = lattice.log_transition
+    emit = lattice.log_emission[:, y].T
+    expE, top = dp._pass_matrix(lattice)
+    la = np.full((M, L), NEG_INF)
+    la[0, 0] = emit[0, 0]
+    for i in range(1, M):
+        np.add(emit[i], dp._log_vecmat(la[i - 1], logE, expE, top), out=la[i])
+    return la
+
+
+def stepwise_backward(lattice, y):
+    M, L = len(y), lattice.graph_size
+    logE = lattice.log_transition.T
+    emit = lattice.log_emission[:, y].T
+    expE, top = dp._pass_matrix(lattice)
+    lb = np.full((M, L), NEG_INF)
+    lb[M - 1, L - 1] = 0.0
+    for i in range(M - 2, -1, -1):
+        lb[i] = dp._log_vecmat(lb[i + 1] + emit[i + 1], logE, expE.T, top)
     return lb
 
 

@@ -214,6 +214,17 @@ class TestTauSchedule:
         with pytest.raises(ValueError):
             tau_schedule(5, 4)
 
+    @pytest.mark.parametrize("step, total, name", [
+        (2.5, 10, "step"), (True, 10, "step"), (-1, 10, "step"), ("1", 10, "step"),
+        (2, 10.0, "total_steps"), (1, True, "total_steps"), (0, 0, "total_steps"),
+    ])
+    def test_arguments_must_be_integers(self, step, total, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            tau_schedule(step, total)
+
+    def test_numpy_integers_accepted(self):
+        assert tau_schedule(np.int64(50), np.uint16(100)) == tau_schedule(50, 100)
+
 
 @settings(max_examples=100, deadline=None)
 @given(

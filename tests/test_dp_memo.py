@@ -113,25 +113,27 @@ def test_memo_key_is_the_token_values(pass_counts):
 
 
 def test_forward_and_backward_stay_uncached(monkeypatch):
-    calls = []
-    original = dp._log_vecmat
+    products = []
+    original = dp._matmul
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return original(*args)
+    def counted(a, b, out=None):
+        products.append(a.shape)
+        return original(a, b, out)
 
-    monkeypatch.setattr(dp, "_log_vecmat", counted)
+    monkeypatch.setattr(dp, "_matmul", counted)
     lat = fresh()
     y = targets()[0]
-    steps = y.size - 1  # one _log_vecmat call per step of a pass
+    # a pass makes one (2, L) product per step, and none more: no step of
+    # this normalized lattice reruns through the exact fallback
+    steps = [(2, GRAPH)] * (y.size - 1)
     dp.nll(lat, y)
-    assert len(calls) == steps
+    assert products == steps
     first = dp.forward(lat, y)
     second = dp.forward(lat, y)
-    assert len(calls) == 3 * steps
+    assert products == 3 * steps
     dp.backward(lat, y)
     dp.backward(lat, y)
-    assert len(calls) == 5 * steps
+    assert products == 5 * steps
     assert first.log_alpha is not second.log_alpha
     assert same(first.log_alpha, second.log_alpha)
 

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from daglattice import DagLattice, InfeasibleTarget, build_random, decode, dp, nll_grad, posterior
@@ -114,6 +116,124 @@ def test_benchmark_shaped_lattice_needs_no_fallback(monkeypatch):
     monkeypatch.setattr(dp, "logsumexp", fail)
     _assert_log_close(dp.forward(lat, y).log_alpha, want_a)
     _assert_log_close(dp.backward(lat, y).log_beta, want_b)
+
+
+def test_entries_just_inside_the_construction_bound_never_overflow():
+    """Entries below the largest float over 8 L in magnitude build, and no
+    table, gradient or decoder overflows on them: pytest turns every
+    RuntimeWarning into an error. Two such entries in one path sum to
+    about 2 * 7.5e306, which is still finite."""
+    b = np.nextafter(np.finfo(np.float64).max / 24, 0)
+    lt = np.full((3, 3), NEG_INF)
+    lt[0, 1] = lt[1, 2] = -b
+    lt[0, 2] = -1.0
+    lat = DagLattice(3, 2, 0, lt, np.array([[-b, -0.5], [-0.5, -b], [-1.0, -2.0]]))
+    for y in ([1, 0, 0], [0, 1, 1], [1, 0]):
+        _assert_log_close(dp.forward(lat, y).log_alpha, ref.forward(lat, y))
+        _assert_log_close(dp.backward(lat, y).log_beta, ref.backward(lat, y))
+        assert np.isfinite(dp.nll(lat, y))
+        nll_grad(lat, y)
+        decode.best_path(lat, y)
+    assert dp.nll(lat, [1, 0, 0]) == pytest.approx(2 * b)  # the emissions are below an ulp
+    for select in ("normalized", "raw"):
+        assert decode.joint_viterbi(lat, select).path.vertices == (0, 2)
+
+
+def _same_as_stepwise(lat, y):
+    return (np.array_equal(dp.forward(lat, y).log_alpha, ref.stepwise_forward(lat, y))
+            and np.array_equal(dp.backward(lat, y).log_beta, ref.stepwise_backward(lat, y)))
+
+
+def test_sweep_bit_identical_to_stepwise_on_the_lattice_mix():
+    assert all(_same_as_stepwise(lat, y) for lat, y in _lattice_mix(300, seed=11))
+
+
+def test_sweep_bit_identical_to_stepwise_on_benchmark_shaped_lattices():
+    rng = np.random.default_rng(5)
+    for seed in range(2):
+        lat = build_random(256, 1000, 0, seed)
+        for M in (16, 40, 64):
+            assert _same_as_stepwise(lat, rng.integers(0, 1000, size=M))
+
+
+FAR = -800.0  # below every other entry by more than the fast path's range
+
+
+@st.composite
+def engineered_misses(draw):
+    """(lattice, target, first): a lattice whose forward pass first has a
+    column out of range at step `first` for the target, or none (first 0).
+
+    Every edge above the diagonal is in [-5, -0.1) and tokens 0 and 2 emit
+    in [-3, -0.1), so no step of a pass over them misses. A FAR edge out of
+    vertex 0 makes step 1 miss, when it is not the largest edge. Token 1
+    emits FAR everywhere but at one vertex v: at the first step t >= 2
+    with y[t-1] = 1, alpha's maximum sits at v >= t, and the columns in
+    [t, v] get only FAR terms. Later token-1 steps add more misses, or
+    none."""
+    L = draw(st.integers(1, 12))
+    M = draw(st.integers(1, max(L, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lt = np.full((L, L), NEG_INF)
+    upper = np.triu_indices(L, 1)
+    lt[upper] = rng.uniform(-5.0, -0.1, size=upper[0].size)
+    le = rng.uniform(-3.0, -0.1, size=(L, 3))
+    y = rng.choice([0, 2], size=M)
+    # with L = 2 a FAR edge would be the largest, which the pass matrix shifts by
+    first = draw(st.integers(0, min(M, L) - 1).filter(lambda t: t != 1 or L > 2))
+    if first == 1:
+        lt[0, draw(st.integers(1, L - 1))] = FAR
+    v = draw(st.integers(max(first, 1), L - 1)) if L > 1 else 0
+    le[:, 1] = FAR
+    le[v, 1] = -0.1
+    for t in draw(st.sets(st.integers(first + 1, M - 1), max_size=3)) if 0 < first < M - 1 else ():
+        y[t - 1] = 1
+    if first >= 2:
+        y[first - 1] = 1
+    return DagLattice(L, 3, 0, lt, le), y, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=engineered_misses())
+def test_sweep_reruns_from_the_first_miss_bit_identical_to_stepwise(case):
+    lat, y, first = case
+    calls = {"_log_vecmat": 0, "logsumexp": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(dp, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            mp.setattr(dp, name, counted)
+        la = dp.forward(lat, y).log_alpha
+        forward_calls = dict(calls)
+        lb = dp.backward(lat, y).log_beta
+    assert np.array_equal(la, ref.stepwise_forward(lat, y))
+    assert np.array_equal(lb, ref.stepwise_backward(lat, y))
+    # steps first..M-1 rerun, each through _log_vecmat
+    assert forward_calls["_log_vecmat"] == (len(y) - first if first else 0)
+    assert (forward_calls["logsumexp"] > 0) == (first > 0)
+
+
+def test_several_misses_in_one_pass(monkeypatch):
+    """Every in-edge of vertex 6 is FAR, so steps 1 to 6 miss there (and
+    later ones where alpha's FAR mass at vertex 6 is all a column gets);
+    every step reruns, and the exact reduction runs on each miss."""
+    vecmat = []
+    real_vecmat = dp._log_vecmat
+    monkeypatch.setattr(dp, "_log_vecmat", lambda *args: vecmat.append(1) or real_vecmat(*args))
+    calls = []
+    real = dp.logsumexp
+    monkeypatch.setattr(dp, "logsumexp", lambda a, axis=None: calls.append(1) or real(a, axis))
+    lat = build_random(12, 3, 0, 5)
+    lt = np.array(lat.log_transition)
+    lt[:6, 6] = FAR
+    lat = DagLattice(12, 3, 0, lt, lat.log_emission)
+    y = np.zeros(10, dtype=np.int64)
+    la = dp.forward(lat, y).log_alpha
+    assert len(vecmat) == 9
+    assert len(calls) >= 6
+    assert np.array_equal(la, ref.stepwise_forward(lat, y))
 
 
 def _band(n, L, width):

@@ -109,16 +109,23 @@ def test_validate_reports_every_kind_in_order():
 
 def test_validate_never_raises_on_an_unshifted_row():
     # logsumexp would not shift a row whose maximum is +inf or NaN, so e^1000
-    # beside it would overflow; such a row cannot be built. A finite row
-    # with -1e308 beside 1e308 overflows the shift instead, and validate
-    # reports it without a warning
+    # beside it would overflow; such a row cannot be built. Nor can a finite
+    # row with -1e308 beside 1e308, whose shift would overflow: every finite
+    # entry is below the largest float over 8 L in magnitude. A row at just
+    # under that bound is built, and validate reports it without a warning
     lat = build_random(4, 3, 0, 2)
     lt = np.array(lat.log_transition)
     for top in (np.inf, np.nan):
         lt[0, 1:3] = top, 1000.0
         with pytest.raises(DimensionError, match=f"log_transition row 0: entry {top} at column 1"):
             DagLattice(4, 3, 0, lt, lat.log_emission)
-    lt[0, 1:3] = -1e308, 1e308
+    big = np.finfo(np.float64).max / 32
+    for low, high, col in ((-1e308, 1e308, 1), (-big / 2, big, 2), (-big, big / 2, 1)):
+        lt[0, 1:3] = low, high
+        with pytest.raises(DimensionError, match=f"log_transition row 0: entry .* at column {col} "
+                                                 "is not a finite number of magnitude below"):
+            DagLattice(4, 3, 0, lt, lat.log_emission)
+    lt[0, 1:3] = -np.nextafter(big, 0), np.nextafter(big, 0)
     report = validate(DagLattice(4, 3, 0, lt, lat.log_emission))
     assert [(v.kind, v.index) for v in report.violations] == [
         ("transition_row_norm", 0), ("positive_transition_entry", 0)]
