@@ -175,6 +175,8 @@ def cmd_pipeline(args, lat, target):
         }
         # loaded here rather than by _run, so that loss-file errors come first
         if args.lattice:
+            if args.target is None:
+                raise ValueError("--target is required with --lattice and the loss files")
             lat = _load_validated(args)
             target = load_target(args.target)
             nll_value = dp.nll(lat, target)

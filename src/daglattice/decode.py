@@ -268,7 +268,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     mode); it costs a row maximum and a cumulative sum, and a failed test
     tightens it by one Bellman step. Paths, tokens, scores and the tie rules
     stay bit-identical to the full sweep; exact ties fail the bound and the
-    sweep runs on. A lattice with L = 1 takes the full sweep.
+    sweep runs on. A lattice with L = 1 takes the full sweep. Raises
+    InfeasibleTarget when no finite-probability path reaches vertex L-1.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")
@@ -285,8 +286,11 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     finals = delta[:, L - 1]  # index i -> path length i+1
     crit = finals / np.arange(1, L + 1) if normalized else finals
     best_i = int(np.argmax(crit))  # shortest length wins exact ties
-    # a path always exists: vertex L-1 is reachable whenever any mass is,
-    # and the L=1 lattice has the trivial length-1 path
+    # the sweep stops early only once some length has a finite score, so
+    # all -inf means no finite-probability path reaches vertex L-1
+    if finals[best_i] == NEG_INF:
+        raise InfeasibleTarget(f"no finite-probability path to the final vertex of a "
+                               f"{L}-vertex lattice")
     verts = _backtrack(phi, best_i)
     return DecodeResult(
         VertexPath(tuple(verts)),

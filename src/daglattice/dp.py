@@ -274,6 +274,12 @@ def _smoothed(lattice: DagLattice, y):
     return memo(lattice, "_dp_smoothed", y.tobytes(), build)
 
 
+def _edge_factors(lattice: DagLattice, y, ft, bt):
+    """(a, c) with a_i = log alpha_i and c_i = log P[:, y_{i+1}] + log beta_{i+1}
+    for i < M-1, so that xi[i, k, j] = exp(a_i[k] + log E[k, j] + c_i[j] - log Z)."""
+    return ft.log_alpha[:-1], bt.log_beta[1:] + lattice.log_emission[:, y[1:]].T
+
+
 def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTable:
     """Vertex occupancy gamma and, optionally, edge posteriors xi.
 
@@ -284,17 +290,10 @@ def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTabl
     ft, bt, logZ, gamma = _smoothed(lattice, y)
     xi = None
     if with_pairwise:
-        M, L = y.size, lattice.graph_size
-        logE, logP = lattice.log_transition, lattice.log_emission
-        xi = np.empty((M - 1, L, L))
-        for i in range(M - 1):
-            np.exp(
-                ft.log_alpha[i][:, None]
-                + logE
-                + (logP[:, y[i + 1]] + bt.log_beta[i + 1])[None, :]
-                - logZ,
-                out=xi[i],
-            )
+        a, c = _edge_factors(lattice, y, ft, bt)
+        xi = np.empty((y.size - 1, *lattice.log_transition.shape))
+        for i in range(y.size - 1):
+            np.exp(a[i][:, None] + lattice.log_transition + c[i] - logZ, out=xi[i])
     return PosteriorTable(gamma.copy(), xi)
 
 
@@ -312,7 +311,7 @@ def nll_grad(lattice: DagLattice, target):
     d nll / d log E[k, j] = -sum_i xi[i, k, j]
     d nll / d log P[j, v] = -sum_{i: y_i = v} gamma[i, j]
 
-    With a_i = log_alpha[i] and c_i = log P[:, y_{i+1}] + log_beta[i+1],
+    With a_i and c_i from _edge_factors,
     sum_i xi[i, k, j] = E[k, j] * sum_i exp(a_i[k] + c_i[j] - log Z): one
     (L x (M-1)) by ((M-1) x L) product whose factors are shifted per step
     by their maxima, and by the largest log E entry, so none overflows.
@@ -323,8 +322,7 @@ def nll_grad(lattice: DagLattice, target):
     y = _tokens(lattice, target)
     ft, bt, logZ, gamma = _smoothed(lattice, y)
     logE, logP = lattice.log_transition, lattice.log_emission
-    a = ft.log_alpha[:-1]
-    c = bt.log_beta[1:] + logP[:, y[1:]].T
+    a, c = _edge_factors(lattice, y, ft, bt)
     expE, top = _pass_matrix(lattice)
     with np.errstate(all="ignore"):
         u = np.max(a, axis=1, initial=NEG_INF)

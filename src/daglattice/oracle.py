@@ -4,15 +4,17 @@ Every path from vertex 1 to vertex L of length M is generated explicitly
 (interior vertices are an (M-2)-combination of the L-2 middle vertices, so
 the count is C(L-2, M-2)). Exponential time; capped at small graph sizes.
 These are the ground truth the DP and decode modules are tested against.
+Posteriors and expected states of a target with no finite-score path raise
+InfeasibleTarget, as dp's do.
 """
 
 import itertools
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence
+from .lattice import DagLattice
 from .logspace import NEG_INF, logsumexp
-from .dp import InfeasibleTarget, PosteriorTable, _tokens
+from .dp import InfeasibleTarget, MissingHiddenStates, PosteriorTable, _tokens
 
 DEFAULT_CAP = 12
 
@@ -50,28 +52,33 @@ def path_joint_logprob(lattice: DagLattice, tokens, path) -> float:
     return float(score)
 
 
-def enumerate_logprob(lattice: DagLattice, target, cap=DEFAULT_CAP) -> float:
-    """Literal log-marginal: log-sum-exp of every path's joint log-prob."""
+def _scored_paths(lattice: DagLattice, target, cap):
+    """(tokens, paths, joint log-probs) of every path of the target's length."""
     _check_cap(lattice.graph_size, cap)
     y = _tokens(lattice, target)
-    scores = [
-        path_joint_logprob(lattice, y, p)
-        for p in enumerate_paths(lattice.graph_size, y.size)
-    ]
-    return float(logsumexp(np.array(scores))) if scores else NEG_INF
+    paths = list(enumerate_paths(lattice.graph_size, y.size))
+    return y, paths, np.array([path_joint_logprob(lattice, y, p) for p in paths])
+
+
+def _path_posteriors(lattice: DagLattice, target, cap):
+    """(tokens, paths, P(path | X, Y)); InfeasibleTarget when no path has a
+    finite score."""
+    y, paths, scores = _scored_paths(lattice, target, cap)
+    logZ = logsumexp(scores)
+    if logZ == NEG_INF:
+        raise InfeasibleTarget(f"no length-{y.size} path in a {lattice.graph_size}-vertex lattice")
+    return y, paths, np.exp(scores - logZ)
+
+
+def enumerate_logprob(lattice: DagLattice, target, cap=DEFAULT_CAP) -> float:
+    """Literal log-marginal: log-sum-exp of every path's joint log-prob."""
+    return logsumexp(_scored_paths(lattice, target, cap)[2])
 
 
 def enumerate_posterior(lattice: DagLattice, target, cap=DEFAULT_CAP) -> PosteriorTable:
     """gamma and xi as weighted indicator averages over all paths."""
-    _check_cap(lattice.graph_size, cap)
-    y = _tokens(lattice, target)
+    y, paths, weights = _path_posteriors(lattice, target, cap)
     M, L = y.size, lattice.graph_size
-    paths = list(enumerate_paths(L, M))
-    scores = np.array([path_joint_logprob(lattice, y, p) for p in paths])
-    logZ = logsumexp(scores) if paths else NEG_INF
-    if logZ == NEG_INF:
-        raise InfeasibleTarget(f"no length-{M} path in a {L}-vertex lattice")
-    weights = np.exp(scores - logZ)
     gamma = np.zeros((M, L))
     xi = np.zeros((M - 1, L, L))
     for w, p in zip(weights, paths):
@@ -84,15 +91,10 @@ def enumerate_posterior(lattice: DagLattice, target, cap=DEFAULT_CAP) -> Posteri
 
 def enumerate_expected_states(lattice: DagLattice, target, cap=DEFAULT_CAP) -> np.ndarray:
     """sum_A P(A | X, Y) * v_{a_i}, path by path."""
-    _check_cap(lattice.graph_size, cap)
     if lattice.hidden_states is None:
-        raise ValueError("lattice has no hidden states")
-    y = _tokens(lattice, target)
-    M = y.size
-    paths = list(enumerate_paths(lattice.graph_size, M))
-    scores = np.array([path_joint_logprob(lattice, y, p) for p in paths])
-    weights = np.exp(scores - logsumexp(scores))
-    z = np.zeros((M, lattice.hidden_dim))
+        raise MissingHiddenStates("lattice has no hidden states (hidden_dim = 0)")
+    y, paths, weights = _path_posteriors(lattice, target, cap)
+    z = np.zeros((y.size, lattice.hidden_dim))
     for w, p in zip(weights, paths):
         z += w * lattice.hidden_states[list(p)]
     return z

@@ -5,6 +5,7 @@ states into frame sequences by integer durations, and combine L1/MSE
 residuals with the lattice NLL into a single training objective.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +82,20 @@ def _pair(pred, gt, name):
 def tts_losses(pred_mel, gt_mel, pred_dur, gt_dur, pred_pitch, gt_pitch,
                pred_energy, gt_energy) -> TTSLosses:
     """Mean L1 on mel plus mean squared error on duration/pitch/energy,
-    summed with unit weights.
+    summed with unit weights. A term or total that is not a finite number
+    (an empty or non-finite input, or an overflow) is a ValueError naming it.
     """
-    pm, gm = _pair(pred_mel, gt_mel, "mel")
-    pd, gd = _pair(pred_dur, gt_dur, "duration")
-    pp, gp = _pair(pred_pitch, gt_pitch, "pitch")
-    pe, ge = _pair(pred_energy, gt_energy, "energy")
-    l1 = float(np.mean(np.abs(pm - gm)))
-    dur_mse = float(np.mean((pd - gd) ** 2))
-    pitch_mse = float(np.mean((pp - gp) ** 2))
-    energy_mse = float(np.mean((pe - ge) ** 2))
-    return TTSLosses(l1, dur_mse, pitch_mse, energy_mse,
-                     l1 + dur_mse + pitch_mse + energy_mse)
+    pairs = (_pair(pred_mel, gt_mel, "mel"), _pair(pred_dur, gt_dur, "duration"),
+             _pair(pred_pitch, gt_pitch, "pitch"), _pair(pred_energy, gt_energy, "energy"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [float(np.mean(err(p - g))) if p.size else math.nan
+                 for (p, g), err in zip(pairs, (np.abs, np.square, np.square, np.square))]
+    losses = TTSLosses(*terms, sum(terms))
+    for name, value in vars(losses).items():
+        if not math.isfinite(value):
+            raise ValueError(f"tts loss {name} is {value}: an input is empty or not finite, "
+                             "or the error overflows")
+    return losses
 
 
 def combined_loss(lattice: DagLattice, target, pred_mel, gt_mel, pred_dur, gt_dur,

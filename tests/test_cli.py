@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from daglattice import TargetSequence, build_random, save_lattice, save_target
+from daglattice import DagLattice, TargetSequence, build_random, save_lattice, save_target
 from daglattice.cli import main
+from daglattice.logspace import NEG_INF
 
 from conftest import lattice_from_probs
 
@@ -615,3 +616,118 @@ def test_fuzzed_input_files_never_exit_1(tmp_path, capsys, data):
     assert "internal error" not in captured.err
     if code == 0 and not skip:
         assert '"nan"' not in captured.out
+
+
+def run_error(capsys, *argv):
+    """(exit code, stderr) of a run that must end in a classified error
+    with nothing on stdout."""
+    code = main(["--no-timing", *argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" not in captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("command", ["bestpath", "posterior", "expect"])
+def test_target_longer_than_the_lattice_exits_3(fixture_dir, capsys, command):
+    save_target(TargetSequence(np.zeros(7, dtype=np.int64)), fixture_dir / "tgt7.json")
+    code, err = run_error(capsys, command, "--lattice", str(fixture_dir / "lat.json"),
+                          "--target", str(fixture_dir / "tgt7.json"))
+    assert code == 3
+    assert "length-7" in err or "length 7" in err
+
+
+def test_oracle_above_the_cap_exits_3(tmp_path, capsys):
+    save_lattice(build_random(13, 3, 0, 0), tmp_path / "lat13.json")
+    save_target(TargetSequence(np.array([0, 1, 2])), tmp_path / "tgt.json")
+    code, err = run_error(capsys, "oracle", "--mode", "logprob",
+                          "--lattice", str(tmp_path / "lat13.json"),
+                          "--target", str(tmp_path / "tgt.json"))
+    assert code == 3
+    assert "graph size 13 exceeds enumeration cap 12" in err
+
+
+def test_viterbi_decode_with_no_path_to_the_final_vertex_exits_3(tmp_path, capsys):
+    # L = 3 with the single edge 0 -> 1; row 1 has no successor, so only
+    # an unvalidated run gets to the decoder
+    lt = np.full((3, 3), NEG_INF)
+    lt[0, 1] = 0.0
+    save_lattice(DagLattice(3, 2, 0, lt, np.log(np.full((3, 2), 0.5))), tmp_path / "cut.json")
+    argv = ["decode", "--strategy", "viterbi", "--lattice", str(tmp_path / "cut.json")]
+    assert run_error(capsys, *argv)[0] == 4  # fails validation
+    code, err = run_error(capsys, *argv, "--skip-validation")
+    assert code == 3
+    assert "no finite-probability path" in err
+
+
+def test_pipeline_needs_every_loss_file(tmp_path, capsys):
+    argv = _loss_argv(tmp_path)
+    cut = argv.index("--pred-pitch")
+    code, err = run_error(capsys, *argv[1:cut])
+    assert code == 4
+    assert "all eight pred/gt loss files are required together" in err
+
+
+def test_pipeline_lattice_with_loss_files_needs_a_target(fixture_dir, capsys):
+    argv = _loss_argv(fixture_dir)[1:] + ["--lattice", str(fixture_dir / "single.json")]
+    code, err = run_error(capsys, *argv)
+    assert code == 4
+    assert "--target is required" in err
+    code, out = run(capsys, *argv, "--target", str(fixture_dir / "single_tgt.json"))
+    assert code == 0
+    assert json.loads(out)["outputs"]["nll"] == pytest.approx(2.0794415416798357, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pipeline_loss_that_overflows_exits_4(tmp_path, capsys):
+    argv = _loss_argv(tmp_path)
+    write_input(tmp_path / "pred-pitch.json", [1e200, 0.0])
+    write_input(tmp_path / "gt-pitch.json", [-1e200, 0.0])
+    code, err = run_error(capsys, *argv[1:])
+    assert code == 4
+    assert "tts loss pitch_mse is inf" in err
+
+
+def test_bench_sizes_must_ascend(capsys):
+    code, err = run_error(capsys, "bench", "--sizes", "16,8", "--repeats", "1")
+    assert code == 4
+    assert "--sizes must be ascending" in err
+
+
+def test_oracle_posterior_matches_the_dp_posterior(fixture_dir, capsys):
+    files = ["--lattice", str(fixture_dir / "lat.json"), "--target", str(fixture_dir / "tgt.json")]
+    code, out = run(capsys, "oracle", "--mode", "posterior", *files)
+    assert code == 0
+    got = json.loads(out)["outputs"]
+    code, out = run(capsys, "posterior", "--pairwise", *files)
+    want = json.loads(out)["outputs"]
+    assert np.allclose(got["gamma"], want["gamma"], rtol=0, atol=1e-12)
+    assert np.allclose(got["xi"], want["xi"], rtol=0, atol=1e-12)
+
+
+def test_oracle_argmax_with_a_target_matches_bestpath(fixture_dir, capsys):
+    files = ["--lattice", str(fixture_dir / "lat.json"), "--target", str(fixture_dir / "tgt.json")]
+    code, out = run(capsys, "oracle", "--mode", "argmax", *files)
+    assert code == 0
+    got = json.loads(out)["outputs"]
+    want = json.loads(run(capsys, "bestpath", *files)[1])["outputs"]
+    assert got["path"] == want["path"]
+    assert got["tokens"] == [1, 0, 3, 2]
+    assert got["score"] == pytest.approx(want["score"], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["posterior", "--pairwise", "--lattice", "{d}/lat.json", "--target", "{d}/tgt.json"],
+    ["decode", "--strategy", "viterbi", "--lattice", "{d}/lat.json"],
+    ["pipeline", "--states", "{d}/states.json", "--durations", "{d}/dur.json", "--emit-frames"],
+])
+def test_pretty_output_parses_to_the_compact_report(fixture_dir, capsys, argv):
+    (fixture_dir / "states.json").write_text(json.dumps([[1.0], [2.0]]))
+    (fixture_dir / "dur.json").write_text(json.dumps([2, 3]))
+    argv = [a.format(d=fixture_dir) for a in argv]
+    compact = run(capsys, *argv)[1]
+    pretty = run(capsys, "--pretty", *argv)[1]
+    assert compact.count("\n") == 1
+    assert pretty.count("\n") > 5
+    assert '\n  "outputs": {\n' in pretty
+    assert json.loads(pretty) == json.loads(compact)

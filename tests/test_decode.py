@@ -159,6 +159,24 @@ class TestJointViterbi:
         assert r.path.vertices == (0,)
         assert len(r.tokens.tokens) == 1
 
+    @pytest.mark.parametrize("select", ["normalized", "raw"])
+    def test_unreachable_final_vertex_is_infeasible(self, select):
+        # L = 3 with the single edge 0 -> 1: no path reaches vertex 2
+        lt = np.full((3, 3), NEG_INF)
+        lt[0, 1] = 0.0
+        lat = DagLattice(3, 2, 0, lt, np.log(np.full((3, 2), 0.5)))
+        with pytest.raises(InfeasibleTarget, match="no finite-probability path"):
+            joint_viterbi(lat, select)
+
+    def test_single_vertex_without_a_finite_emission_is_infeasible(self):
+        lat = DagLattice(1, 2, 0, np.full((1, 1), NEG_INF), np.full((1, 2), NEG_INF))
+        with pytest.raises(InfeasibleTarget):
+            joint_viterbi(lat)
+
+    def test_unknown_length_select(self):
+        with pytest.raises(ValueError, match="unknown length_select 'longest'"):
+            joint_viterbi(build_random(4, 2, 0, 0), "longest")
+
 
 class TestGlance:
     def test_tau_zero_all_masked(self):
@@ -242,3 +260,9 @@ def test_unmask_count_length_must_be_a_non_negative_integer(length):
     with pytest.raises(ValueError, match="length must be an integer >= 0"):
         unmask_count(0.5, length)
     assert unmask_count(0.5, np.int64(3)) == unmask_count(0.5, 3) == 2
+
+
+@pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan, math.inf])
+def test_unmask_count_tau_must_be_in_the_unit_interval(tau):
+    with pytest.raises(ValueError, match=r"tau must be in \[0, 1\]"):
+        unmask_count(tau, 4)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from daglattice import DagLattice, build_random, decode
+from daglattice.dp import InfeasibleTarget
 from daglattice.lattice import DimensionError
 from daglattice.logspace import NEG_INF
 
@@ -21,8 +22,8 @@ MODES = ("normalized", "raw")
 
 def joint(lat, select, prune=True):
     """(outcome, steps): joint_viterbi's path, tokens and score as a repr,
-    and the last step the sweep computed. prune=False runs the unpruned
-    sweep."""
+    or the InfeasibleTarget it raised when no path has a finite score, and
+    the last step the sweep computed. prune=False runs the unpruned sweep."""
     real = decode._longer_cannot_win
     steps = [0]
 
@@ -37,7 +38,10 @@ def joint(lat, select, prune=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decode, "_longer_cannot_win", rule)
-        r = decode.joint_viterbi(lat, select)
+        try:
+            r = decode.joint_viterbi(lat, select)
+        except InfeasibleTarget as exc:
+            return repr(exc), steps[0]
     return repr((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob)), steps[0]
 
 

@@ -312,8 +312,9 @@ def test_decoders_bit_identical_to_full_table_decode(monkeypatch):
         out = []
         for lat, targets in cases:
             for select in ("normalized", "raw"):
-                r = decode.joint_viterbi(lat, select)
-                out.append((r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
+                r = _outcome(decode.joint_viterbi, lat, select)
+                out.append(r if isinstance(r, str)
+                           else (r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
             for y in targets:
                 out.append(_outcome(decode.best_path, lat, y))
         return out

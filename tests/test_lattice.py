@@ -5,12 +5,20 @@ import pytest
 
 from daglattice import (
     DagLattice,
+    TargetSequence,
+    VertexPath,
     build_random,
     load_lattice,
+    nll,
     save_lattice,
     validate,
 )
-from daglattice.lattice import DimensionError, LatticeFormatError, lattice_from_json_obj
+from daglattice.lattice import (
+    DimensionError,
+    LatticeFormatError,
+    lattice_from_json_obj,
+    lattice_to_json_obj,
+)
 from daglattice.logspace import NEG_INF
 
 import reference_kernels as ref
@@ -229,6 +237,13 @@ def test_dimension_mismatch_rejected():
         DagLattice(3, 2, 0, np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(DimensionError, match="hidden_states absent"):
         DagLattice(2, 2, 3, np.zeros((2, 2)), np.zeros((2, 2)), None)
+    with pytest.raises(DimensionError, match=r"log_emission shape \(2, 2\), expected \(2, 3\)"):
+        DagLattice(2, 3, 0, np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"hidden_states shape \(2, 2\), expected \(2, 3\)"):
+        DagLattice(2, 2, 3, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    for dims in ((0, 2, 0), (2, 0, 0), (2, 2, -1)):
+        with pytest.raises(DimensionError, match="bad dimensions"):
+            DagLattice(*dims, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -250,3 +265,46 @@ def test_lattice_arrays_immutable():
         lat.log_transition[0, 1] = 0.0
     with pytest.raises(ValueError):
         lat.hidden_states[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("tokens", [
+    [], np.zeros(0, dtype=np.int64), [[0, 1]], np.zeros((2, 2), dtype=np.int64),
+])
+def test_target_must_be_a_non_empty_1d_sequence(tokens):
+    with pytest.raises(DimensionError, match="target must be a non-empty 1-D token sequence"):
+        TargetSequence(tokens)
+    with pytest.raises(DimensionError, match="target must be a non-empty 1-D token sequence"):
+        nll(build_random(3, 2, 0, 0), tokens)
+
+
+@pytest.mark.parametrize("vertices, error, message", [
+    ((), DimensionError, "path must be non-empty"),
+    ((0, 2, 2), ValueError, "strictly increasing"),
+    ((0, 3, 1), ValueError, "strictly increasing"),
+])
+def test_vertex_path_must_be_non_empty_and_increasing(vertices, error, message):
+    with pytest.raises(error, match=message):
+        VertexPath(vertices)
+
+
+@pytest.mark.parametrize("value", [[1, 2], "lattice", None, 5])
+def test_top_level_json_value_must_be_an_object(tmp_path, value):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps(value))
+    with pytest.raises(LatticeFormatError, match="top-level JSON value must be an object"):
+        load_lattice(path)
+
+
+@pytest.mark.parametrize("key", ["graph_size", "vocab_size", "hidden_dim",
+                                 "log_transition", "log_emission"])
+def test_missing_field_is_a_parse_error(key):
+    obj = lattice_to_json_obj(build_random(3, 2, 0, 0))
+    del obj[key]
+    with pytest.raises(LatticeFormatError, match=f"missing field '{key}'"):
+        lattice_from_json_obj(obj)
+
+
+def test_save_lattice_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        save_lattice(build_random(3, 2, 0, 0), tmp_path / "lat.xml", "xml")
+    assert not (tmp_path / "lat.xml").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from daglattice import build_random
+from daglattice import DagLattice, InfeasibleTarget, MissingHiddenStates, build_random, dp
 from daglattice import oracle
 from daglattice.oracle import (
     CapExceeded,
@@ -75,3 +75,43 @@ def test_cap_enforced():
         enumerate_logprob(lat, list(range(3)))
     # explicit larger cap lifts the limit
     assert np.isfinite(enumerate_logprob(lat, [0, 1, 2], cap=13))
+
+
+def _impossible_last_token(lat):
+    """The lattice with token 0 impossible at the final vertex, so that every
+    path of a target ending in token 0 scores -inf."""
+    le = np.array(lat.log_emission)
+    le[-1, 0] = -np.inf
+    return DagLattice(lat.graph_size, lat.vocab_size, lat.hidden_dim,
+                      lat.log_transition, le, lat.hidden_states)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["longer_than_L", "single_token", "every_path_neg_inf"])
+def test_infeasible_targets_raise_like_dp(case):
+    """No path, or none with a finite score: the oracle's posteriors and
+    expected states raise InfeasibleTarget, as dp's do, and the log marginal
+    is -inf."""
+    lat = build_random(4, 3, 2, 1)
+    y = {"longer_than_L": [0] * 5, "single_token": [0], "every_path_neg_inf": [1, 0]}[case]
+    if case == "every_path_neg_inf":
+        lat = _impossible_last_token(lat)
+    assert enumerate_logprob(lat, y) == -np.inf
+    for fn in (enumerate_posterior, oracle.enumerate_expected_states,
+               dp.posterior, dp.expected_states):
+        with pytest.raises(InfeasibleTarget):
+            fn(lat, y)
+
+
+def test_cap_comes_before_the_target():
+    lat = build_random(13, 3, 2, 0)
+    for fn in (enumerate_logprob, enumerate_posterior, oracle.enumerate_expected_states):
+        with pytest.raises(CapExceeded, match="graph size 13 exceeds enumeration cap 12"):
+            fn(lat, [99])
+
+
+def test_expected_states_without_hidden_states_raise_like_dp():
+    lat = build_random(4, 3, 0, 1)
+    for fn in (oracle.enumerate_expected_states, dp.expected_states):
+        with pytest.raises(MissingHiddenStates, match="no hidden states"):
+            fn(lat, [0, 1])

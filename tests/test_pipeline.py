@@ -85,6 +85,24 @@ class TestTtsLosses:
         with pytest.raises(ShapeMismatch):
             tts_losses(*args)
 
+    # (argument index, value) pairs put over the zeros, and the term named
+    @pytest.mark.parametrize("changes, term", [
+        ({4: [1e200, 0, 0, 0], 5: [-1e200, 0, 0, 0]}, "pitch_mse"),  # (2e200)^2 overflows
+        ({0: np.full((4, 3), 1e308), 1: np.full((4, 3), -1e308)}, "l1"),  # the difference does
+        ({2: [1.3e154], 3: [0], 6: [1.3e154], 7: [0]}, "total"),  # each term is finite
+        ({0: [[np.nan, 0, 0]] * 4}, "l1"),
+        ({3: [0, np.inf, 0, 0]}, "dur_mse"),
+        ({6: [np.inf] * 4, 7: [np.inf] * 4}, "energy_mse"),  # inf - inf
+        ({0: np.zeros((0, 3)), 1: np.zeros((0, 3))}, "l1"),  # the mean of nothing
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_loss_is_an_error_naming_the_term(self, changes, term):
+        args = self._zeros()
+        for i, value in changes.items():
+            args[i] = np.array(value, dtype=np.float64)
+        with pytest.raises(ValueError, match=f"tts loss {term} is "):
+            tts_losses(*args)
+
 
 class TestCombinedLoss:
     def _args(self, lat):
