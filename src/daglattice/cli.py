@@ -1,8 +1,9 @@
 """Command-line surface: every library operation bound to files.
 
-stdout carries exactly one JSON object per invocation; diagnostics go to
-stderr. Exit codes: 0 success, 2 parse error, 3 infeasible target,
-4 dimension/shape error, 1 internal error.
+Every command loads its files, runs and reports through `_run`. stdout
+carries exactly one JSON object per invocation; diagnostics go to stderr.
+Exit codes: 0 success, 2 parse error, 3 infeasible target (after the report
+when an NLL is +inf), 4 dimension/shape error, 1 internal error.
 """
 
 import argparse
@@ -21,13 +22,13 @@ from .lattice import (
     DimensionError,
     LatticeFormatError,
     build_random,
+    integer_at_least,
     load_integers,
     load_lattice,
     load_numbers,
     load_target,
     validate,
 )
-from .logspace import NEG_INF
 
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
@@ -37,6 +38,7 @@ EXIT_SHAPE = 4
 # each `bench` repeat times enough single calls per size to last at least
 # this long, so that its statistics never rest on a few sub-millisecond calls
 BENCH_SAMPLE_S = 0.005
+BENCH_VOCAB = 16  # the vocabulary of bench's random lattices and targets
 
 
 def _render(value, pretty, indent=0):
@@ -74,23 +76,14 @@ def _render(value, pretty, indent=0):
     return json.dumps(str(value))
 
 
-def _load_validated(args):
-    lat = load_lattice(args.lattice)
-    if not args.skip_validation:
-        report = validate(lat)
-        if not report.ok:
-            worst = report.violations[0]
-            raise DimensionError(
-                f"lattice failed validation ({len(report.violations)} violations; "
-                f"first: {worst.kind} at row {worst.index}, deviation {worst.deviation}); "
-                f"pass --skip-validation to force"
-            )
-    return lat
+def _exit_for(nll_value):
+    """The exit code of a report that carries an NLL: infeasible when +inf."""
+    return EXIT_INFEASIBLE if math.isinf(nll_value) else 0
 
 
 def cmd_score(args, lat, target):
     value = dp.nll(lat, target)
-    return {"nll": value, "log_marginal": -value}, EXIT_INFEASIBLE if math.isinf(value) else 0
+    return {"nll": value, "log_marginal": -value}, _exit_for(value)
 
 
 def cmd_posterior(args, lat, target):
@@ -145,18 +138,18 @@ def cmd_oracle(args, lat, target):
         raise ValueError(f"--target is required with --mode {args.mode}")
     if args.mode == "logprob":
         lm = oracle.enumerate_logprob(lat, target)
-        return {"log_marginal": lm, "nll": float("inf") if lm == NEG_INF else -lm}
+        return {"log_marginal": lm, "nll": -lm}, _exit_for(-lm)
     if args.mode == "posterior":
         post = oracle.enumerate_posterior(lat, target)
         return {"gamma": post.gamma.tolist(), "xi": post.xi.tolist()}
-    if target is not None:
-        path, toks, score = oracle.enumerate_argmax(lat, target)
-    else:
-        path, toks, score = oracle.enumerate_argmax(lat, length=args.length)
+    path, toks, score = oracle.enumerate_argmax(lat, target, args.length)
     return {"path": [v + 1 for v in path], "tokens": [int(t) for t in toks], "score": score}
 
 
 def cmd_pipeline(args, lat, target):
+    if (lat is None) != (target is None):
+        raise ValueError("--target is required with --lattice" if target is None
+                         else "--lattice is required with --target")
     frames = pipeline.length_regulate(load_numbers(args.states),
                                       load_integers(args.durations, "durations"))
     outputs = {"frame_count": int(frames.shape[0])}
@@ -167,22 +160,17 @@ def cmd_pipeline(args, lat, target):
     if any(f is not None for f in loss_files):
         if any(f is None for f in loss_files):
             raise pipeline.ShapeMismatch("all eight pred/gt loss files are required together")
-        arrays = [load_numbers(f) for f in loss_files]
-        tts = pipeline.tts_losses(*arrays)
+        tts = pipeline.tts_losses(*(load_numbers(f) for f in loss_files))
         outputs["tts"] = {
             "l1": tts.l1, "dur_mse": tts.dur_mse, "pitch_mse": tts.pitch_mse,
             "energy_mse": tts.energy_mse, "total": tts.total,
         }
-        # loaded here rather than by _run, so that loss-file errors come first
-        if args.lattice:
-            if args.target is None:
-                raise ValueError("--target is required with --lattice and the loss files")
-            lat = _load_validated(args)
-            target = load_target(args.target)
-            nll_value = dp.nll(lat, target)
-            outputs["nll"] = nll_value
-            outputs["combined"] = dp.composite_loss(nll_value, tts.total, args.mu)
-    return outputs
+    if lat is None:
+        return outputs
+    outputs["nll"] = dp.nll(lat, target)
+    if "tts" in outputs:
+        outputs["combined"] = dp.composite_loss(outputs["nll"], outputs["tts"]["total"], args.mu)
+    return outputs, _exit_for(outputs["nll"])
 
 
 def _forward_backward_s(lat, target):
@@ -204,15 +192,15 @@ def _calls_per_sample(lat, target):
 
 
 def cmd_bench(args, lat, target):
-    decode.integer_at_least(args.repeats, "--repeats", 1)
-    decode.integer_at_least(args.target_len, "--target-len", 1)
+    integer_at_least(args.repeats, "--repeats", 1)
+    integer_at_least(args.target_len, "--target-len", 1)
     sizes = [int(s) for s in args.sizes.split(",")]
     if sizes != sorted(sizes):
         raise ValueError("--sizes must be ascending")
     args.sizes = sizes  # the report echoes the parsed sizes
     rng = np.random.default_rng(args.seed)
-    lats = [build_random(L, args.vocab_size, 0, args.seed) for L in sizes]
-    target = rng.integers(0, args.vocab_size, size=args.target_len)
+    lats = [build_random(L, BENCH_VOCAB, 0, args.seed) for L in sizes]
+    target = rng.integers(0, BENCH_VOCAB, size=args.target_len)
     for lat in lats:  # warm-up, excluded from timing
         _forward_backward_s(lat, target)
     numbers = [_calls_per_sample(lat, target) for lat in lats]
@@ -246,8 +234,18 @@ def _run(args):
     return the exit code. A command returns its outputs, or (outputs, exit
     code) when it can fail after producing them."""
     start = time.perf_counter()
-    lat = _load_validated(args) if "lattice" in args.inputs else None
-    target = None
+    lat = target = None
+    if "lattice" in args.inputs and args.lattice is not None:
+        lat = load_lattice(args.lattice)
+        if not args.skip_validation:
+            report = validate(lat)
+            if not report.ok:
+                worst = report.violations[0]
+                raise DimensionError(
+                    f"lattice failed validation ({len(report.violations)} violations; "
+                    f"first: {worst.kind} at row {worst.index}, deviation {worst.deviation}); "
+                    f"pass --skip-validation to force"
+                )
     if "target" in args.inputs and args.target is not None:
         target = load_target(args.target)
     has_seed = "seed" in vars(args)
@@ -282,15 +280,16 @@ def build_parser():
     skip_help = ("skip the normalisation and positive-entry checks; an edge on or below "
                  "the diagonal of log E is still an error (exit 4)")
 
-    def add(name, fn, inputs=("lattice", "target"), required_target=True):
+    def add(name, fn, inputs=("lattice", "target"), optional=()):
         """Subcommand whose report echoes the named arguments as its inputs;
-        the runner loads --lattice and --target when they are named."""
+        the runner loads --lattice and --target when they are named and
+        given. Both are required unless named in `optional`."""
         p = sub.add_parser(name)
         if "lattice" in inputs:
-            p.add_argument("--lattice", required=True)
+            p.add_argument("--lattice", required="lattice" not in optional)
             p.add_argument("--skip-validation", action="store_true", help=skip_help)
-        if "target" in inputs and required_target:
-            p.add_argument("--target", required=True)
+        if "target" in inputs:
+            p.add_argument("--target", required="target" not in optional)
         p.set_defaults(fn=fn, inputs=inputs)
         return p
 
@@ -308,26 +307,22 @@ def build_parser():
     p.add_argument("--max-steps", type=int)
     p = add("gradcheck", cmd_gradcheck)
     p.add_argument("--step", type=float, default=1e-6)
-    p = add("oracle", cmd_oracle, ("lattice", "mode", "target"), required_target=False)
+    p = add("oracle", cmd_oracle, ("lattice", "mode", "target"), optional=("target",))
     p.add_argument("--mode", choices=["logprob", "posterior", "argmax"], required=True)
-    p.add_argument("--target")
     p.add_argument("--length", type=int)
-    p = add("pipeline", cmd_pipeline, ("states", "durations"))
+    p = add("pipeline", cmd_pipeline, ("states", "durations", "lattice", "target"),
+            optional=("lattice", "target"))
     p.add_argument("--states", required=True)
     p.add_argument("--durations", required=True)
     p.add_argument("--emit-frames", action="store_true")
     for flag in ("pred-mel", "gt-mel", "pred-dur", "gt-dur",
                  "pred-pitch", "gt-pitch", "pred-energy", "gt-energy"):
         p.add_argument(f"--{flag}")
-    p.add_argument("--lattice")
-    p.add_argument("--target")
-    p.add_argument("--skip-validation", action="store_true", help=skip_help)
     p.add_argument("--mu", type=float, default=5.0)
     p = add("bench", cmd_bench, ("sizes", "target_len", "repeats"))
     p.add_argument("--sizes", required=True, help="comma-separated ascending graph sizes")
     p.add_argument("--target-len", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--vocab-size", type=int, default=16)
     p.add_argument("--seed", type=int)
     return parser
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, VertexPath, memo
+from .lattice import DagLattice, TargetSequence, VertexPath, integer_at_least, memo
 from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
@@ -209,14 +209,6 @@ def best_path(lattice: DagLattice, target):
             f"no finite-probability length-{M} path in a {L}-vertex lattice"
         )
     return VertexPath(tuple(_backtrack(phi, M - 1))), score
-
-
-def integer_at_least(value, name, least):
-    """value as an int when it is an integer, not a bool, of at least
-    `least`; a ValueError naming the argument otherwise."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
-        return int(value)
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def lookahead(lattice: DagLattice, max_steps=None) -> DecodeResult:

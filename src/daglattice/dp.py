@@ -251,8 +251,7 @@ def log_marginal(lattice: DagLattice, target) -> float:
 
 def nll(lattice: DagLattice, target) -> float:
     """Negative log-likelihood of the target; +inf when no path exists."""
-    lm = log_marginal(lattice, target)
-    return float("inf") if lm == NEG_INF else -lm
+    return -log_marginal(lattice, target)
 
 
 def _smoothed(lattice: DagLattice, y):

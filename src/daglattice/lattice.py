@@ -171,6 +171,14 @@ def target_tokens(value) -> np.ndarray:
     return toks.astype(np.int64, copy=False)
 
 
+def integer_at_least(value, name, least):
+    """value as an int when it is an integer, not a bool, of at least
+    `least`; a ValueError naming the argument otherwise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TargetSequence:
     """Integer token-id sequence of length M >= 1, in a read-only int64
@@ -232,7 +240,7 @@ class ValidationReport:
         self.violations.append(Violation(kind, index, float(deviation)))
 
 
-def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> ValidationReport:
+def validate(lattice: DagLattice) -> ValidationReport:
     """Check the probability invariants; never raises, returns a full report.
 
     Reports, in this order: transition rows 0..L-2 not normalized over
@@ -245,7 +253,7 @@ def validate(lattice: DagLattice, tolerance: float = NORM_TOLERANCE) -> Validati
 
     for name, mat in (("transition", lt[:-1]), ("emission", le)):
         dev = np.abs(logsumexp(mat, axis=1))
-        for k in np.flatnonzero(dev > tolerance):
+        for k in np.flatnonzero(dev > NORM_TOLERANCE):
             report.add(f"{name}_row_norm", int(k), dev[k])
 
     for name, mat in (("transition", lt), ("emission", le)):
@@ -262,8 +270,10 @@ def build_random(graph_size, vocab_size, hidden_dim=0, seed=0) -> DagLattice:
     rows are normalized over the vocabulary; hidden states are uniform on
     [-1, 1). Row weights are bounded away from zero so no edge degenerates.
     """
-    L, V, d = int(graph_size), int(vocab_size), int(hidden_dim)
-    rng = np.random.default_rng(seed)
+    L = integer_at_least(graph_size, "graph_size", 1)
+    V = integer_at_least(vocab_size, "vocab_size", 1)
+    d = integer_at_least(hidden_dim, "hidden_dim", 0)
+    rng = np.random.default_rng(integer_at_least(seed, "seed", 0))
     lt = np.full((L, L), NEG_INF)
     for k in range(L - 1):
         w = rng.random(L - k - 1) + 0.1

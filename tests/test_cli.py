@@ -432,10 +432,20 @@ REPORT_CONTRACT = [
     (["oracle", "--lattice", "{d}/lat.json", "--mode", "argmax", "--length", "3"],
      [("lattice", "{d}/lat.json"), ("mode", "argmax")], None, 0),
     (["pipeline", "--durations", "{d}/dur.json", "--states", "{d}/states.json",
-      "--lattice", "{d}/lat.json"],
-     [("states", "{d}/states.json"), ("durations", "{d}/dur.json")], None, 0),
+      "--target", "{d}/tgt.json", "--lattice", "{d}/lat.json"],
+     [("states", "{d}/states.json"), ("durations", "{d}/dur.json"),
+      ("lattice", "{d}/lat.json"), ("target", "{d}/tgt.json")], None, 0),
     (["bench", "--sizes", "8,16", "--target-len", "2", "--repeats", "1", "--seed", "4"],
      [("sizes", [8, 16]), ("target_len", 2), ("repeats", 1)], 4, 0),
+    # an NLL of +inf is exit 3 after the report, whichever command computes it
+    (["pipeline", "--states", "{d}/states.json", "--durations", "{d}/dur.json",
+      "--lattice", "{d}/single.json", "--target", "{d}/long_tgt.json"],
+     [("states", "{d}/states.json"), ("durations", "{d}/dur.json"),
+      ("lattice", "{d}/single.json"), ("target", "{d}/long_tgt.json")], None, 3),
+    (["oracle", "--mode", "logprob", "--lattice", "{d}/single.json",
+      "--target", "{d}/long_tgt.json"],
+     [("lattice", "{d}/single.json"), ("mode", "logprob"), ("target", "{d}/long_tgt.json")],
+     None, 3),
 ]
 
 
@@ -676,6 +686,35 @@ def test_pipeline_lattice_with_loss_files_needs_a_target(fixture_dir, capsys):
     code, out = run(capsys, *argv, "--target", str(fixture_dir / "single_tgt.json"))
     assert code == 0
     assert json.loads(out)["outputs"]["nll"] == pytest.approx(2.0794415416798357, abs=1e-9)
+
+
+@pytest.mark.parametrize("given, path, missing", [("--lattice", "single.json", "--target"),
+                                                   ("--target", "single_tgt.json", "--lattice")])
+def test_pipeline_lattice_and_target_go_together(fixture_dir, capsys, given, path, missing):
+    argv = _loss_argv(fixture_dir)[1:6]  # no loss files
+    code, err = run_error(capsys, *argv, given, str(fixture_dir / path))
+    assert code == 4
+    assert f"{missing} is required with {given}" in err
+
+
+def test_pipeline_nll_without_loss_files(fixture_dir, capsys):
+    argv = _loss_argv(fixture_dir)[1:6] + ["--lattice", str(fixture_dir / "single.json"),
+                                           "--target", str(fixture_dir / "single_tgt.json")]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert list(outputs) == ["frame_count", "nll"]
+    assert outputs["nll"] == pytest.approx(2.0794415416798357, abs=1e-9)
+
+
+def test_pipeline_reports_a_bad_lattice_before_bad_states(fixture_dir, capsys):
+    argv = _loss_argv(fixture_dir)[1:]
+    (fixture_dir / "states.json").write_text("[[1.0], [2.0]")
+    (fixture_dir / "bad.json").write_text("{")
+    code, err = run_error(capsys, *argv, "--lattice", str(fixture_dir / "bad.json"),
+                          "--target", str(fixture_dir / "single_tgt.json"))
+    assert code == 2
+    assert "bad.json" in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -19,7 +19,7 @@ from daglattice.lattice import (
     lattice_from_json_obj,
     lattice_to_json_obj,
 )
-from daglattice.logspace import NEG_INF
+from daglattice.logspace import NEG_INF, logsumexp
 
 import reference_kernels as ref
 from conftest import lattice_from_probs
@@ -188,7 +188,33 @@ def test_build_random_deterministic_bytes(tmp_path):
 
 def test_build_random_passes_validation_tightly():
     lat = build_random(8, 5, 4, 42)
-    assert validate(lat, tolerance=1e-12).ok
+    assert np.all(np.abs(logsumexp(lat.log_transition[:-1], axis=1)) <= 1e-12)
+    assert np.all(np.abs(logsumexp(lat.log_emission, axis=1)) <= 1e-12)
+    assert validate(lat).ok
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"graph_size": 2.5}, "graph_size"),      # a float is not truncated
+    ({"graph_size": True}, "graph_size"),     # nor is a bool read as 1
+    ({"graph_size": 0}, "graph_size"),
+    ({"vocab_size": 0}, "vocab_size"),
+    ({"vocab_size": np.float64(3)}, "vocab_size"),
+    ({"hidden_dim": -1}, "hidden_dim"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": -1}, "seed"),
+])
+def test_build_random_rejects_sizes_and_seeds_that_are_not_integers_in_range(kwargs, name):
+    args = {"graph_size": 4, "vocab_size": 3, "hidden_dim": 0, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        build_random(**args)
+
+
+def test_validate_checks_rows_at_the_fixed_tolerance():
+    lat = build_random(4, 3, 0, 1)
+    lowered = DagLattice(4, 3, 0, lat.log_transition, lat.log_emission - 1.0)
+    assert [v.kind for v in validate(lowered).violations] == ["emission_row_norm"] * 4
+    with pytest.raises(TypeError):
+        validate(lowered, tolerance=float("nan"))
 
 
 @pytest.mark.parametrize("fmt", ["json", "binary"])
