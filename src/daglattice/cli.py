@@ -134,8 +134,8 @@ def cmd_gradcheck(args, lat, target):
 
 
 def cmd_oracle(args, lat, target):
-    if args.mode != "argmax" and target is None:
-        raise ValueError(f"--target is required with --mode {args.mode}")
+    if args.mode != "argmax" and (target is None or args.length is not None):
+        raise ValueError(f"--mode {args.mode} takes --target and no --length")
     if args.mode == "logprob":
         lm = oracle.enumerate_logprob(lat, target)
         return {"log_marginal": lm, "nll": -lm}, _exit_for(-lm)
@@ -307,7 +307,7 @@ def build_parser():
     p.add_argument("--max-steps", type=int)
     p = add("gradcheck", cmd_gradcheck)
     p.add_argument("--step", type=float, default=1e-6)
-    p = add("oracle", cmd_oracle, ("lattice", "mode", "target"), optional=("target",))
+    p = add("oracle", cmd_oracle, ("lattice", "mode", "target", "length"), optional=("target",))
     p.add_argument("--mode", choices=["logprob", "posterior", "argmax"], required=True)
     p.add_argument("--length", type=int)
     p = add("pipeline", cmd_pipeline, ("states", "durations", "lattice", "target"),

@@ -19,11 +19,11 @@ per-pass table beside the counts of finite terms. A vertex with no finite
 predecessor sums to exactly 0, hence -inf. Once the pass is done, one
 vectorised test looks for a column with finite terms whose shifted sum
 fell outside [1e-250, 1e250] or is not finite (underflow of very small
-entries, overflow of unnormalized ones). If there is one, every step from
-the first such column on is recomputed by _log_vecmat, which takes the
-exact log-space reduction there. So the tables are bit-identical to
-running _log_vecmat on every step, and no precision is lost at the
-extremes; on normalized lattices no column misses and no step reruns.
+entries, overflow of unnormalized ones). If there is one, the same loop
+reruns every step from the first such column on, with the exact log-space
+reduction on each such column. So the tables are bit-identical to testing
+every step, and no precision is lost at the extremes; on normalized
+lattices no column misses and no step reruns.
 
 nll_grad sums the edge posteriors over steps as one (L x (M-1)) by
 ((M-1) x L) product with per-step max shifts, times E, and never builds the
@@ -149,62 +149,46 @@ def _pass_matrix(lattice: DagLattice):
     return memo(lattice, "_pass_matrix", None, build)
 
 
-def _log_vecmat(x, logE, expE, top):
-    """logsumexp(x[:, None] + logE, axis=0), computed by one BLAS product.
-
-    Two rows go through the product together: the max-shifted exp(x), and
-    the 0/1 finite pattern of x, which counts the finite terms per column.
-    A column with none has a shifted sum of exactly 0, hence -inf; columns
-    whose shifted sum is out of range or not finite fall back to the exact
-    log-space reduction.
-    """
-    m = x.max()
-    shift = m if math.isfinite(m) else 0.0
-    rows = np.empty((2, x.size))
-    with np.errstate(all="ignore"):
-        np.subtract(x, shift, out=rows[0])
-        np.exp(rows[0], out=rows[0])
-        np.not_equal(x, NEG_INF, out=rows[1])
-        s, count = _matmul(rows, expE)
-        out = np.log(s)
-    redo = np.flatnonzero(~(np.abs(out) <= _LOG_SUM_MAX) & (count != 0))
-    out += shift + top
-    if redo.size:
-        out[redo] = logsumexp(x[:, None] + logE[:, redo], axis=0)
-    return out
-
-
 def _sweep(x0, addend, out, logE, expE, top):
-    """out[t] = _log_vecmat(x_t, logE, expE, top) for t = 0..n-1, where
+    """out[t] = logsumexp(x_t[:, None] + logE, axis=0) for t = 0..n-1, where
     x_t = out[t-1] + addend[t-1] after x_0, with one range test per pass.
 
-    Each step keeps the log of its shifted sums and its finite counts in a
-    per-pass table and goes on at once. Afterwards, every step from the
-    first one with a column that _log_vecmat would recompute runs again
-    through _log_vecmat, so out is bit-identical to calling it every step.
+    Each step pushes the max-shifted exp(x_t) and the 0/1 finite pattern of
+    x_t through one BLAS product against expE, and keeps the log of the
+    shifted sums and the finite counts in a per-pass table. If the test
+    after the pass finds a column with finite terms whose shifted sum is out
+    of range or not finite, the same loop reruns from that step with exact
+    set: each rerun step recomputes its own such columns by the exact
+    log-space reduction before the next step reads them.
     """
     n, L = out.shape
-    x = x0
     rows = np.empty((2, L))
     shifted, finite = rows
     sums = np.empty((n, 2, L))  # per step: log of the shifted sums, finite counts
-    with np.errstate(all="ignore"):
-        for t in range(n):
-            if t:  # x_t goes into the pattern row, which overwrites it last
-                x = np.add(out[t - 1], addend[t - 1], out=finite)
-            m = np.maximum.reduce(x)
-            shift = m if math.isfinite(m) else 0.0
-            np.subtract(x, shift, out=shifted)
-            np.exp(shifted, out=shifted)
-            np.not_equal(x, NEG_INF, out=finite)
-            log_sum = _matmul(rows, expE, out=sums[t])[0]
-            np.log(log_sum, out=log_sum)
-            np.add(log_sum, shift + top, out=out[t])
-    miss = ~(np.abs(sums[:, 0]) <= _LOG_SUM_MAX) & (sums[:, 1] != 0)
-    if miss.any():
-        for t in range(int(np.flatnonzero(miss)[0]) // L, n):
-            x = out[t - 1] + addend[t - 1] if t else x0
-            out[t] = _log_vecmat(x, logE, expE, top)
+    first = 0
+    for exact in (False, True):
+        with np.errstate(all="ignore"):
+            x = x0
+            for t in range(first, n):
+                if t:  # x_t goes into the pattern row, which overwrites it last
+                    x = np.add(out[t - 1], addend[t - 1], out=finite)
+                m = np.maximum.reduce(x)
+                shift = m if math.isfinite(m) else 0.0
+                np.subtract(x, shift, out=shifted)
+                np.exp(shifted, out=shifted)
+                np.not_equal(x, NEG_INF, out=finite)
+                log_sum = _matmul(rows, expE, out=sums[t])[0]
+                np.log(log_sum, out=log_sum)
+                np.add(log_sum, shift + top, out=out[t])
+                if exact:
+                    redo = np.flatnonzero(~(np.abs(log_sum) <= _LOG_SUM_MAX) & (sums[t, 1] != 0))
+                    if redo.size:
+                        x = out[t - 1] + addend[t - 1] if t else x0
+                        out[t, redo] = logsumexp(x[:, None] + logE[:, redo], axis=0)
+        miss = np.flatnonzero(~(np.abs(sums[:, 0]) <= _LOG_SUM_MAX) & (sums[:, 1] != 0))
+        if exact or not miss.size:
+            return
+        first = int(miss[0]) // L
 
 
 def forward(lattice: DagLattice, target) -> ForwardTable:

@@ -29,10 +29,12 @@ def finite_difference_check(lattice, target, step=1e-6, grad_floor=1e-8):
 
     Entries whose analytic gradient magnitude is below grad_floor are
     skipped (relative error is meaningless near zero). The step must be
-    finite and non-zero.
+    finite and non-zero, and grad_floor finite and non-negative.
     """
     if not (math.isfinite(step) and step != 0):
         raise ValueError(f"step must be finite and non-zero, got {step}")
+    if not 0 <= grad_floor < math.inf:  # NaN fails too
+        raise ValueError(f"grad_floor must be finite and non-negative, got {grad_floor}")
     dE, dP = dp.nll_grad(lattice, target)
     max_rel = 0.0
     checked = 0

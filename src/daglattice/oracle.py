@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .lattice import DagLattice
+from .lattice import DagLattice, integer_at_least
 from .logspace import NEG_INF, logsumexp
 from .dp import InfeasibleTarget, MissingHiddenStates, PosteriorTable, _tokens
 
@@ -109,20 +109,20 @@ def enumerate_argmax(lattice: DagLattice, target=None, length=None, cap=DEFAULT_
     """Exhaustive best path: (path, tokens, score).
 
     With a target, score is the joint log-prob of (target, path). Without
-    one, tokens are the per-vertex greedy choice and `length` fixes the path
-    length. Ties resolve to the lexicographically smallest path, matching
-    the decoders' smallest-vertex rule.
+    one, tokens are the per-vertex greedy choice and `length`, an integer
+    >= 1, fixes the path length; give one of the two. Ties resolve to the
+    lexicographically smallest path, as the decoders' smallest-vertex rule.
     """
     L = lattice.graph_size
     _check_cap(L, cap)
+    if (target is None) == (length is None):
+        raise ValueError("give exactly one of target and length")
     if target is not None:
         toks = _tokens(lattice, target)
         M = toks.size
         gt = None
     else:
-        if length is None:
-            raise ValueError("length is required in greedy-token mode")
-        M = int(length)
+        M = integer_at_least(length, "length", 1)
         gt = greedy_tokens(lattice)
     best = None
     for p in enumerate_paths(L, M):

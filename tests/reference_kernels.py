@@ -7,9 +7,9 @@ the max-plus step reduces along axis 0, and validation checks one row at a
 time. They are slow but obviously right; tests compare
 dp.forward/backward/posterior/nll_grad, the decode tables and
 lattice.validate against them. stepwise_forward and stepwise_backward are
-the BLAS passes with the range test and exact fallback of dp._log_vecmat
-run on every step, which dp's one-test-per-pass sweep must match bit for
-bit.
+the BLAS passes with their range test and exact per-column fallback run on
+every step (log_vecmat), which dp's one-test-per-pass sweep must match bit
+for bit.
 """
 
 import numpy as np
@@ -38,6 +38,27 @@ def backward(lattice, y):
     return lb
 
 
+def log_vecmat(x, logE, expE, top):
+    """One step of dp._sweep, tested at once: logsumexp(x[:, None] + logE,
+    axis=0) by one BLAS product of the max-shifted exp(x) and the 0/1 finite
+    pattern of x against expE, with the exact reduction on every column that
+    has finite terms and a shifted sum out of range or not finite."""
+    m = x.max()
+    shift = m if np.isfinite(m) else 0.0
+    rows = np.empty((2, x.size))
+    with np.errstate(all="ignore"):
+        np.subtract(x, shift, out=rows[0])
+        np.exp(rows[0], out=rows[0])
+        np.not_equal(x, NEG_INF, out=rows[1])
+        s, count = dp._matmul(rows, expE)
+        out = np.log(s)
+    redo = np.flatnonzero(~(np.abs(out) <= dp._LOG_SUM_MAX) & (count != 0))
+    out += shift + top
+    if redo.size:
+        out[redo] = logsumexp(x[:, None] + logE[:, redo], axis=0)
+    return out
+
+
 def stepwise_forward(lattice, y):
     M, L = len(y), lattice.graph_size
     logE = lattice.log_transition
@@ -46,7 +67,7 @@ def stepwise_forward(lattice, y):
     la = np.full((M, L), NEG_INF)
     la[0, 0] = emit[0, 0]
     for i in range(1, M):
-        np.add(emit[i], dp._log_vecmat(la[i - 1], logE, expE, top), out=la[i])
+        np.add(emit[i], log_vecmat(la[i - 1], logE, expE, top), out=la[i])
     return la
 
 
@@ -58,7 +79,7 @@ def stepwise_backward(lattice, y):
     lb = np.full((M, L), NEG_INF)
     lb[M - 1, L - 1] = 0.0
     for i in range(M - 2, -1, -1):
-        lb[i] = dp._log_vecmat(lb[i + 1] + emit[i + 1], logE, expE.T, top)
+        lb[i] = log_vecmat(lb[i + 1] + emit[i + 1], logE, expE.T, top)
     return lb
 
 

@@ -430,7 +430,7 @@ REPORT_CONTRACT = [
     (["oracle", "--target", "{d}/tgt.json", "--mode", "logprob", "--lattice", "{d}/lat.json"],
      [("lattice", "{d}/lat.json"), ("mode", "logprob"), ("target", "{d}/tgt.json")], None, 0),
     (["oracle", "--lattice", "{d}/lat.json", "--mode", "argmax", "--length", "3"],
-     [("lattice", "{d}/lat.json"), ("mode", "argmax")], None, 0),
+     [("lattice", "{d}/lat.json"), ("mode", "argmax"), ("length", 3)], None, 0),
     (["pipeline", "--durations", "{d}/dur.json", "--states", "{d}/states.json",
       "--target", "{d}/tgt.json", "--lattice", "{d}/lat.json"],
      [("states", "{d}/states.json"), ("durations", "{d}/dur.json"),
@@ -496,6 +496,18 @@ def test_oracle_without_target_is_a_usage_error(fixture_dir, capsys, mode):
     assert captured.out == ""
     assert "--target" in captured.err
     assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("mode, named", [("argmax", "target and length"),
+                                         ("logprob", "--length"), ("posterior", "--length")])
+def test_oracle_length_with_a_target_is_a_usage_error(fixture_dir, capsys, mode, named):
+    """--length is for the greedy-token argmax alone: with --target, or in
+    any other mode, it is exit 4 rather than silently dropped."""
+    code, err = run_error(capsys, "oracle", "--mode", mode, "--length", "3",
+                          "--lattice", str(fixture_dir / "lat.json"),
+                          "--target", str(fixture_dir / "tgt.json"))
+    assert code == 4
+    assert named in err
 
 
 MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)

@@ -196,6 +196,13 @@ class TestNllGrad:
         assert result["max_rel_err"] <= 1e-5
         assert result["checked"] > 0
 
+    @pytest.mark.parametrize("grad_floor", [math.nan, -1.0, math.inf])
+    def test_grad_floor_must_be_finite_and_non_negative(self, grad_floor):
+        """A NaN or negative floor would check entries with g = fd = 0, whose
+        0/0 relative error max() then drops."""
+        with pytest.raises(ValueError, match="grad_floor"):
+            finite_difference_check(build_random(4, 3, 0, 1), [0, 1], grad_floor=grad_floor)
+
     def test_emission_grads_sum_to_minus_m(self):
         lat = build_random(6, 4, 0, 3)
         y = [1, 3, 0, 2]

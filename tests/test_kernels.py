@@ -197,7 +197,7 @@ def engineered_misses(draw):
 @given(case=engineered_misses())
 def test_sweep_reruns_from_the_first_miss_bit_identical_to_stepwise(case):
     lat, y, first = case
-    calls = {"_log_vecmat": 0, "logsumexp": 0}
+    calls = {"_matmul": 0, "logsumexp": 0}
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             def counted(*args, _name=name, _real=getattr(dp, name), **kwargs):
@@ -210,30 +210,36 @@ def test_sweep_reruns_from_the_first_miss_bit_identical_to_stepwise(case):
         lb = dp.backward(lat, y).log_beta
     assert np.array_equal(la, ref.stepwise_forward(lat, y))
     assert np.array_equal(lb, ref.stepwise_backward(lat, y))
-    # steps first..M-1 rerun, each through _log_vecmat
-    assert forward_calls["_log_vecmat"] == (len(y) - first if first else 0)
+    # one product per step, and steps first..M-1 rerun
+    assert forward_calls["_matmul"] == len(y) - 1 + (len(y) - first if first else 0)
     assert (forward_calls["logsumexp"] > 0) == (first > 0)
 
 
 def test_several_misses_in_one_pass(monkeypatch):
-    """Every in-edge of vertex 6 is FAR, so steps 1 to 6 miss there (and
-    later ones where alpha's FAR mass at vertex 6 is all a column gets);
-    every step reruns, and the exact reduction runs on each miss."""
-    vecmat = []
-    real_vecmat = dp._log_vecmat
-    monkeypatch.setattr(dp, "_log_vecmat", lambda *args: vecmat.append(1) or real_vecmat(*args))
-    calls = []
-    real = dp.logsumexp
+    """Every in-edge of vertex 6 is FAR, so steps 1 to 6 of the forward pass
+    miss there (and later ones where alpha's FAR mass at vertex 6 is all a
+    column gets), and every out-edge is FAR, which does the same to the
+    backward pass: in each pass every step reruns, and the exact reduction
+    runs on each miss."""
+    products, calls = [], []
+    real_matmul, real = dp._matmul, dp.logsumexp
+    monkeypatch.setattr(dp, "_matmul", lambda *a, **kw: products.append(1) or real_matmul(*a, **kw))
     monkeypatch.setattr(dp, "logsumexp", lambda a, axis=None: calls.append(1) or real(a, axis))
     lat = build_random(12, 3, 0, 5)
     lt = np.array(lat.log_transition)
     lt[:6, 6] = FAR
+    lt[6, 7:] = FAR
     lat = DagLattice(12, 3, 0, lt, lat.log_emission)
     y = np.zeros(10, dtype=np.int64)
     la = dp.forward(lat, y).log_alpha
-    assert len(vecmat) == 9
+    assert len(products) == 18  # 9 steps, each run twice
+    assert len(calls) >= 6
+    del products[:], calls[:]
+    lb = dp.backward(lat, y).log_beta
+    assert len(products) == 18
     assert len(calls) >= 6
     assert np.array_equal(la, ref.stepwise_forward(lat, y))
+    assert np.array_equal(lb, ref.stepwise_backward(lat, y))
 
 
 def _band(n, L, width):

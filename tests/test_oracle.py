@@ -69,6 +69,19 @@ def test_argmax_greedy_token_mode():
     assert score == pytest.approx(oracle.path_joint_logprob(lat, toks, path), abs=1e-12)
 
 
+def test_argmax_takes_exactly_one_of_target_and_length():
+    lat = build_random(6, 4, 0, 2)
+    for kwargs in ({"target": [0, 1, 2], "length": 3}, {}):
+        with pytest.raises(ValueError, match="target and length"):
+            enumerate_argmax(lat, **kwargs)
+
+
+@pytest.mark.parametrize("length", [2.5, True, 0, -1, "3"])
+def test_argmax_length_must_be_an_integer_at_least_one(length):
+    with pytest.raises(ValueError, match="length must be an integer >= 1"):
+        enumerate_argmax(build_random(6, 4, 0, 2), length=length)
+
+
 def test_cap_enforced():
     lat = build_random(13, 3, 0, 0)
     with pytest.raises(CapExceeded):
