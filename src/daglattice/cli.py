@@ -337,8 +337,7 @@ def main(argv=None):
     except (dp.InfeasibleTarget, oracle.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DimensionError, dp.MissingHiddenStates, pipeline.LengthMismatch,
-            pipeline.ShapeMismatch, ValueError) as exc:
+    except ValueError as exc:  # DimensionError, MissingHiddenStates, pipeline's, bad arguments
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
     except Exception as exc:  # pragma: no cover

@@ -282,7 +282,7 @@ def posterior(lattice: DagLattice, target, with_pairwise=False) -> PosteriorTabl
 
 def expected_states(lattice: DagLattice, target) -> ExpectedStates:
     """Posterior-weighted combination of vertex hidden states, z = gamma @ V."""
-    if lattice.hidden_dim == 0 or lattice.hidden_states is None:
+    if lattice.hidden_states is None:  # exactly when hidden_dim == 0
         raise MissingHiddenStates("lattice has no hidden states (hidden_dim = 0)")
     gamma = _smoothed(lattice, _tokens(lattice, target))[3]
     return ExpectedStates(gamma @ lattice.hidden_states)

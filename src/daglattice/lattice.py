@@ -13,7 +13,7 @@ entry must also be smaller in magnitude than the largest float over 8 L.
 import json
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -89,71 +89,49 @@ class DagLattice:
     hidden_states: np.ndarray | None = None  # (L, d) or None when d == 0
 
     def __post_init__(self):
-        lt = np.array(self.log_transition, dtype=np.float64, order="C")
-        le = np.array(self.log_emission, dtype=np.float64, order="C")
-        object.__setattr__(self, "log_transition", lt)
-        object.__setattr__(self, "log_emission", le)
-        if self.graph_size < 1 or self.vocab_size < 1 or self.hidden_dim < 0:
-            raise DimensionError(
-                f"bad dimensions L={self.graph_size} |V|={self.vocab_size} "
-                f"d={self.hidden_dim}"
-            )
         L, V, d = self.graph_size, self.vocab_size, self.hidden_dim
-        if lt.shape != (L, L):
-            raise DimensionError(f"log_transition shape {lt.shape}, expected {(L, L)}")
-        if le.shape != (L, V):
-            raise DimensionError(f"log_emission shape {le.shape}, expected {(L, V)}")
+        if L < 1 or V < 1 or d < 0:
+            raise DimensionError(f"bad dimensions L={L} |V|={V} d={d}")
+        if d > 0 and self.hidden_states is None:
+            raise DimensionError("hidden_dim > 0 but hidden_states absent")
+        # path sums of up to 8 L log-matrix entries below big cannot overflow
+        big = np.finfo(np.float64).max / (8.0 * L)
+        arrays = [("log_transition", (L, L), big), ("log_emission", (L, V), big)]
         if d > 0:
-            if self.hidden_states is None:
-                raise DimensionError("hidden_dim > 0 but hidden_states absent")
-            hs = np.array(self.hidden_states, dtype=np.float64, order="C")
-            if hs.shape != (L, d):
-                raise DimensionError(f"hidden_states shape {hs.shape}, expected {(L, d)}")
-            object.__setattr__(self, "hidden_states", hs)
-            hs.setflags(write=False)
+            arrays.append(("hidden_states", (L, d), np.inf))
         else:
             object.__setattr__(self, "hidden_states", None)
+        for name, shape, _ in arrays:
+            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
+            if arr.shape != shape:
+                raise DimensionError(f"{name} shape {arr.shape}, expected {shape}")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        lt = self.log_transition
         lower = np.tri(L, dtype=bool)  # entries (k, j) with j <= k
         if (lt[lower] != NEG_INF).any():  # NaN fails too
             k, j = divmod(int(np.flatnonzero((lt != NEG_INF) & lower)[0]), L)
             raise DimensionError(f"log_transition row {k}: entry {lt[k, j]} at column {j} is on "
                                  "or below the diagonal, where a DAG has no edge (-inf)")
-        # path sums of up to 8 L entries below big cannot overflow. A maximum
-        # is NaN when any entry is; entries at or below -big are looked at
-        # one by one only when the minimum is, as it is when one is masked
-        big = np.finfo(np.float64).max / (8.0 * L)
-        for name, arr in (("log_transition", lt), ("log_emission", le)):
-            if arr.max() < big and (arr.min() > -big or ((arr > -big) | (arr == NEG_INF)).all()):
+        # A maximum is NaN when any entry is; entries at or below -bound are
+        # looked at one by one only when the minimum is, as it is when one is
+        # masked. Only a finite bound lets -inf, an absent edge or emission, in
+        for name, _, bound in arrays:
+            arr, finite = getattr(self, name), bound < np.inf
+            if arr.max() < bound and (arr.min() > -bound
+                                      or finite and ((arr > -bound) | (arr == NEG_INF)).all()):
                 continue
-            bad = ~((np.abs(arr) < big) | (arr == NEG_INF))
+            bad = ~((np.abs(arr) < bound) | finite & (arr == NEG_INF))
             k, j = divmod(int(np.flatnonzero(bad)[0]), arr.shape[1])
+            limit = f" of magnitude below {bound:.4g}, the largest float over 8 L" if finite else ""
             raise DimensionError(f"{name} row {k}: entry {arr[k, j]} at column {j} is not a "
-                                 f"finite number of magnitude below {big:.4g}, the largest "
-                                 "float over 8 L")
-        hs = self.hidden_states
-        if hs is not None and not np.abs(hs).max() < np.inf:
-            k, j = divmod(int(np.flatnonzero(~np.isfinite(hs))[0]), hs.shape[1])
-            raise DimensionError(f"hidden_states row {k}: entry {hs[k, j]} at column {j} "
-                                 "is not a finite number")
-        lt.setflags(write=False)
-        le.setflags(write=False)
+                                 f"finite number{limit}")
 
     def __eq__(self, other):
         if not isinstance(other, DagLattice):
             return NotImplemented
-        if (self.graph_size, self.vocab_size, self.hidden_dim) != (
-            other.graph_size,
-            other.vocab_size,
-            other.hidden_dim,
-        ):
-            return False
-        if not np.array_equal(self.log_transition, other.log_transition):
-            return False
-        if not np.array_equal(self.log_emission, other.log_emission):
-            return False
-        if self.hidden_states is None:
-            return other.hidden_states is None
-        return np.array_equal(self.hidden_states, other.hidden_states)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def target_tokens(value) -> np.ndarray:
@@ -349,7 +327,7 @@ def lattice_to_json_obj(lattice: DagLattice) -> dict:
         "log_emission": _inf_to_null(lattice.log_emission),
     }
     if lattice.hidden_states is not None:
-        obj["hidden_states"] = [[float(v) for v in row] for row in lattice.hidden_states]
+        obj["hidden_states"] = _inf_to_null(lattice.hidden_states)
     return obj
 
 

@@ -52,12 +52,20 @@ def path_joint_logprob(lattice: DagLattice, tokens, path) -> float:
     return float(score)
 
 
-def _scored_paths(lattice: DagLattice, target, cap):
-    """(tokens, paths, joint log-probs) of every path of the target's length."""
+def _scored_paths(lattice: DagLattice, target, cap, length=None):
+    """(tokens, paths, joint log-probs) of every path of the target's length.
+    Given a length in place of the target, each path is scored with its own
+    vertices' greedy tokens, and tokens holds them, one row per path."""
     _check_cap(lattice.graph_size, cap)
-    y = _tokens(lattice, target)
-    paths = list(enumerate_paths(lattice.graph_size, y.size))
-    return y, paths, np.array([path_joint_logprob(lattice, y, p) for p in paths])
+    if length is None:
+        y = _tokens(lattice, target)
+        paths = list(enumerate_paths(lattice.graph_size, y.size))
+        rows = itertools.repeat(y)
+    else:
+        M = integer_at_least(length, "length", 1)
+        paths = list(enumerate_paths(lattice.graph_size, M))
+        y = rows = greedy_tokens(lattice)[np.array(paths, dtype=np.int64).reshape(-1, M)]
+    return y, paths, np.array([path_joint_logprob(lattice, t, p) for t, p in zip(rows, paths)])
 
 
 def _path_posteriors(lattice: DagLattice, target, cap):
@@ -113,25 +121,12 @@ def enumerate_argmax(lattice: DagLattice, target=None, length=None, cap=DEFAULT_
     >= 1, fixes the path length; give one of the two. Ties resolve to the
     lexicographically smallest path, as the decoders' smallest-vertex rule.
     """
-    L = lattice.graph_size
-    _check_cap(L, cap)
+    _check_cap(lattice.graph_size, cap)  # before the arguments, as in every function here
     if (target is None) == (length is None):
         raise ValueError("give exactly one of target and length")
-    if target is not None:
-        toks = _tokens(lattice, target)
-        M = toks.size
-        gt = None
-    else:
-        M = integer_at_least(length, "length", 1)
-        gt = greedy_tokens(lattice)
-    best = None
-    for p in enumerate_paths(L, M):
-        ptoks = toks if gt is None else gt[list(p)]
-        score = path_joint_logprob(lattice, ptoks, p)
-        if score == NEG_INF:
-            continue
-        if best is None or score > best[2]:
-            best = (p, np.asarray(ptoks), score)
-    if best is None:
-        raise InfeasibleTarget(f"no finite-probability length-{M} path in a {L}-vertex lattice")
-    return best
+    y, paths, scores = _scored_paths(lattice, target, cap, length)
+    if scores.max(initial=NEG_INF) == NEG_INF:
+        raise InfeasibleTarget(f"no finite-probability length-{y.shape[-1]} path in a "
+                               f"{lattice.graph_size}-vertex lattice")
+    best = int(np.argmax(scores))  # the first maximum
+    return paths[best], y if y.ndim == 1 else y[best], float(scores[best])

@@ -140,7 +140,8 @@ def test_bestpath_one_based_output(fixture_dir, capsys):
 
 
 def test_parse_error_exit_2(tmp_path, capsys):
-    for i, content in enumerate([b"{not json", NOT_UTF8, DIRECTORY]):
+    # the last is a binary lattice cut inside its 20-byte header
+    for i, content in enumerate([b"{not json", NOT_UTF8, DIRECTORY, b"DALT" + bytes(8)]):
         bad = tmp_path / f"bad{i}.json"
         write_input(bad, content)
         code = main(["score", "--lattice", str(bad), "--target", str(bad)])
@@ -462,6 +463,15 @@ def test_report_contract(fixture_dir, capsys, argv, inputs, seed, exit_code):
     assert report["command"] == argv[0]
     assert list(report["inputs"].items()) == [(k, fill(v)) for k, v in inputs]
     assert report.get("seed") == seed
+
+
+def test_report_times_the_command_after_its_outputs(fixture_dir, capsys):
+    code = main(["glance", "--lattice", str(fixture_dir / "lat.json"),
+                 "--target", str(fixture_dir / "tgt.json"), "--tau", "0.5", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert list(report) == ["command", "inputs", "outputs", "wall_time_ms", "seed"]
+    assert isinstance(report["wall_time_ms"], float) and report["wall_time_ms"] >= 0
 
 
 def test_seed_falls_back_to_environment(fixture_dir, capsys, monkeypatch):

@@ -99,6 +99,19 @@ class TestLookahead:
         )
         assert r.joint_logprob == pytest.approx(score, abs=1e-9)
 
+    def test_stops_at_a_dead_end(self):
+        # vertex 0's only edge runs to vertex 2, which has no out-edge
+        trans = np.zeros((5, 5))
+        trans[0, 2] = 1.0
+        trans[1, 2:] = 1.0 / 3
+        trans[3, 4] = 1.0
+        emit = np.array([[0.6, 0.4], [0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+        result = lookahead(lattice_from_probs(trans, emit))
+        assert result.path.vertices == (0, 2)
+        assert list(result.tokens.tokens) == [0, 1]
+        assert result.joint_logprob == pytest.approx(math.log(0.6 * 0.8), abs=1e-12)
+        assert result.truncated
+
     def test_max_steps_truncation(self):
         lat = build_random(8, 5, 0, 29)
         r = lookahead(lat, max_steps=2)

@@ -272,6 +272,35 @@ def test_dimension_mismatch_rejected():
             DagLattice(*dims, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def _with(lat, **arrays):
+    """lat with the last entry of row 0 of each named array raised by the
+    given amount."""
+    kw = {name: np.array(getattr(lat, name)) for name in
+          ("log_transition", "log_emission", "hidden_states")}
+    for name, delta in arrays.items():
+        kw[name][0, -1] += delta
+    return DagLattice(lat.graph_size, lat.vocab_size, lat.hidden_dim, **kw)
+
+
+def test_eq_compares_every_field():
+    lat = build_random(4, 3, 2, 0)
+    assert lat == _with(lat) and not lat != _with(lat)
+    assert build_random(4, 3, 0, 0) == build_random(4, 3, 0, 0)  # no hidden states on either
+    differing = {
+        "graph_size": build_random(5, 3, 2, 0),
+        "vocab_size": build_random(4, 4, 2, 0),
+        "hidden_dim": build_random(4, 3, 3, 0),
+        "no hidden_states": build_random(4, 3, 0, 0),
+        "log_transition": _with(lat, log_transition=0.5),
+        "log_emission": _with(lat, log_emission=0.5),
+        "hidden_states": _with(lat, hidden_states=0.5),
+    }
+    for field, other in differing.items():
+        assert lat != other and other != lat, field
+    assert lat.__eq__("lattice") is NotImplemented
+    assert lat != "lattice"
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_round_trip_preserves_validate_verdict(tmp_path, seed):
     lat = build_random(6, 4, 2, seed)

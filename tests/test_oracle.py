@@ -102,18 +102,23 @@ def _impossible_last_token(lat):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["longer_than_L", "single_token", "every_path_neg_inf"])
 def test_infeasible_targets_raise_like_dp(case):
-    """No path, or none with a finite score: the oracle's posteriors and
-    expected states raise InfeasibleTarget, as dp's do, and the log marginal
-    is -inf."""
+    """No path, or none with a finite score: the oracle's posteriors,
+    expected states and best path raise InfeasibleTarget, as dp's do, and
+    the log marginal is -inf."""
     lat = build_random(4, 3, 2, 1)
     y = {"longer_than_L": [0] * 5, "single_token": [0], "every_path_neg_inf": [1, 0]}[case]
     if case == "every_path_neg_inf":
         lat = _impossible_last_token(lat)
     assert enumerate_logprob(lat, y) == -np.inf
-    for fn in (enumerate_posterior, oracle.enumerate_expected_states,
+    for fn in (enumerate_posterior, oracle.enumerate_expected_states, enumerate_argmax,
                dp.posterior, dp.expected_states):
         with pytest.raises(InfeasibleTarget):
             fn(lat, y)
+
+
+def test_argmax_length_above_the_graph_size_is_infeasible():
+    with pytest.raises(InfeasibleTarget, match="no finite-probability length-5 path in a 4-vertex"):
+        enumerate_argmax(build_random(4, 3, 0, 1), length=5)
 
 
 def test_cap_comes_before_the_target():
