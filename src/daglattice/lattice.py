@@ -24,6 +24,10 @@ NORM_TOLERANCE = 1e-4
 BINARY_MAGIC = b"DALT"
 BINARY_VERSION = 1
 
+_DIMENSIONS = ("graph_size", "vocab_size", "hidden_dim")
+# a lattice's arrays in file order, each with whether it may hold -inf (null in JSON)
+_ARRAYS = (("log_transition", True), ("log_emission", True), ("hidden_states", False))
+
 
 class LatticeFormatError(ValueError):
     """Unreadable or malformed input file (bad JSON, bad header, bad field)."""
@@ -264,16 +268,9 @@ def build_random(graph_size, vocab_size, hidden_dim=0, seed=0) -> DagLattice:
     return DagLattice(L, V, d, lt, le, hs)
 
 
-def _inf_to_null(matrix):
-    return [
-        [None if v == NEG_INF else float(v) for v in row] for row in np.asarray(matrix)
-    ]
-
-
 def _number(v):
-    """A log-matrix entry that is neither null nor a float, as a float: an
-    integer (or a numpy number from a library caller) is that number, and a
-    string or a boolean is not a number."""
+    """An entry that is neither a float nor a null read as -inf, as a float: an integer
+    (or a numpy number from a library caller) is that number, anything else is not."""
     if isinstance(v, numbers.Real) and not isinstance(v, bool):
         return float(v)
     raise TypeError(f"entry {json.dumps(v)[:40]} is not a number")
@@ -287,19 +284,22 @@ def _finite(arr, where, neg_inf=False):
     return arr
 
 
-def _null_to_inf(rows, name):
+def _null_to_inf(rows, name, neg_inf):
+    """A lattice array from JSON as float64; null is -inf where neg_inf allows it."""
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
+        raise LatticeFormatError(f"field {name!r}: not rows of numbers")
     try:
         # float(v) would let strings and booleans in; the class check that
         # replaces it costs no more on the nulls and floats that make up
         # nearly every entry
         arr = np.array(
-            [[NEG_INF if v is None else v if v.__class__ is float else _number(v) for v in row]
-             for row in rows],
+            [[NEG_INF if v is None and neg_inf else v if v.__class__ is float else _number(v)
+              for v in row] for row in rows],
             dtype=np.float64,
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise LatticeFormatError(f"field {name!r}: {exc}") from exc
-    return _finite(arr, f"field {name!r}", neg_inf=True)
+    return _finite(arr, f"field {name!r}", neg_inf)
 
 
 def _floats(value, where):
@@ -319,49 +319,42 @@ def _floats(value, where):
 
 
 def lattice_to_json_obj(lattice: DagLattice) -> dict:
-    obj = {
-        "graph_size": lattice.graph_size,
-        "vocab_size": lattice.vocab_size,
-        "hidden_dim": lattice.hidden_dim,
-        "log_transition": _inf_to_null(lattice.log_transition),
-        "log_emission": _inf_to_null(lattice.log_emission),
-    }
-    if lattice.hidden_states is not None:
-        obj["hidden_states"] = _inf_to_null(lattice.hidden_states)
+    """The lattice as JSON values; save_lattice writes its -inf floats as null."""
+    obj = {name: getattr(lattice, name) for name in _DIMENSIONS}
+    for name, _ in _ARRAYS:
+        if getattr(lattice, name) is not None:
+            obj[name] = getattr(lattice, name).tolist()
     return obj
 
 
 def lattice_from_json_obj(obj: dict) -> DagLattice:
     if not isinstance(obj, dict):
         raise LatticeFormatError("top-level JSON value must be an object")
-    required = ("graph_size", "vocab_size", "hidden_dim", "log_transition", "log_emission")
+    keys = (*_DIMENSIONS, *(name for name, _ in _ARRAYS))
+    required = keys[:-1]  # the hidden states may be absent, or null
     for key in obj:
-        if key not in required and key != "hidden_states":
+        if key not in keys:
             raise LatticeFormatError(f"unknown field {key[:40]!r}")
     for key in required:
         if key not in obj:
             raise LatticeFormatError(f"missing field {key!r}")
-    for key in ("graph_size", "vocab_size", "hidden_dim"):
+    for key in _DIMENSIONS:
         if type(obj[key]) is not int:  # bool is a subclass of int
             raise LatticeFormatError(
                 f"field {key!r}: {json.dumps(obj[key])[:40]} is not an integer"
             )
-    lt = _null_to_inf(obj["log_transition"], "log_transition")
-    le = _null_to_inf(obj["log_emission"], "log_emission")
-    hs = obj.get("hidden_states")
-    if hs is not None:
-        hs = _floats(hs, "field 'hidden_states'")
-        if hs.ndim != 2:
-            raise LatticeFormatError(f"field 'hidden_states': {hs.ndim}-D, not rows of numbers")
-    return DagLattice(obj["graph_size"], obj["vocab_size"], obj["hidden_dim"], lt, le, hs)
+    arrays = [_null_to_inf(obj[name], name, neg_inf) for name, neg_inf in _ARRAYS
+              if name in required or obj.get(name) is not None]
+    return DagLattice(*(obj[key] for key in _DIMENSIONS), *arrays)
 
 
 def save_lattice(lattice: DagLattice, path, fmt="json"):
     if fmt == "json":
         with open(path, "w") as fh:
             # json.dumps runs the C encoder; json.dump streams through the
-            # pure-Python one, at about twice the cost for the same bytes
-            fh.write(json.dumps(lattice_to_json_obj(lattice)))
+            # pure-Python one, at about twice the cost for the same bytes;
+            # -Infinity can only be a -inf entry of a log matrix
+            fh.write(json.dumps(lattice_to_json_obj(lattice)).replace("-Infinity", "null"))
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
@@ -374,10 +367,9 @@ def save_lattice(lattice: DagLattice, path, fmt="json"):
                     lattice.hidden_dim,
                 )
             )
-            fh.write(lattice.log_transition.astype("<f8").tobytes())
-            fh.write(lattice.log_emission.astype("<f8").tobytes())
-            if lattice.hidden_dim > 0:
-                fh.write(lattice.hidden_states.astype("<f8").tobytes())
+            for name, _ in _ARRAYS:
+                if getattr(lattice, name) is not None:
+                    fh.write(getattr(lattice, name).astype("<f8").tobytes())
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -417,11 +409,10 @@ def load_lattice(path) -> DagLattice:
             f"{declared} bytes of matrices, but {len(data) - 20} bytes follow it"
         )
     # read-only views of the bytes; DagLattice copies them into its own arrays
-    lt, le, hs = np.split(np.frombuffer(data, dtype="<f8", offset=20), [L * L, L * (L + V)])
-    lt = _finite(lt.reshape(L, L), f"{path}: field 'log_transition'", neg_inf=True)
-    le = _finite(le.reshape(L, V), f"{path}: field 'log_emission'", neg_inf=True)
-    hs = _finite(hs.reshape(L, d), f"{path}: field 'hidden_states'")
-    return DagLattice(L, V, d, lt, le, hs)  # hs is ignored when d == 0
+    flat = np.split(np.frombuffer(data, dtype="<f8", offset=20), [L * L, L * (L + V)])
+    arrays = [_finite(arr.reshape(L, n), f"{path}: field {name!r}", neg_inf)
+              for arr, n, (name, neg_inf) in zip(flat, (L, V, d), _ARRAYS)]
+    return DagLattice(L, V, d, *arrays)  # the (L, 0) hidden states are ignored when d == 0
 
 
 def load_numbers(path) -> np.ndarray:

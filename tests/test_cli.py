@@ -541,6 +541,10 @@ MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)
     (("log_transition", 0, 1), float("nan")),
     (("log_emission", 1, 1), float("inf")),  # Infinity
     (("log_transition", 0, 2), b"1e999"),  # +inf, even under --skip-validation
+    # a whole array that is not rows of numbers; [], {} and "" in a log
+    # matrix were shape errors (exit 4)
+    *(((name,), value) for name in ("log_transition", "log_emission", "hidden_states")
+      for value in ({}, 5, "abc", [1.0], [], "")),
 ]
 
 

@@ -225,6 +225,19 @@ def test_round_trip(tmp_path, fmt):
     assert load_lattice(path) == lat
 
 
+def test_saved_json_writes_every_neg_inf_as_null(tmp_path):
+    lat = build_random(6, 3, 2, 5)
+    le = np.array(lat.log_emission)
+    le[2, 1] = NEG_INF  # an emission that never happens
+    lat = DagLattice(6, 3, 2, lat.log_transition, le, lat.hidden_states)
+    save_lattice(lat, tmp_path / "lat.json", "json")
+    text = (tmp_path / "lat.json").read_text()
+    for token in ("Infinity", "NaN"):  # -Infinity too
+        assert token not in text
+    assert text.count("null") == np.isneginf(lat.log_transition).sum() + 1
+    assert load_lattice(tmp_path / "lat.json") == lat
+
+
 def test_json_null_is_neg_inf(tmp_path):
     obj = {
         "graph_size": 2, "vocab_size": 2, "hidden_dim": 0,
@@ -348,6 +361,19 @@ def test_top_level_json_value_must_be_an_object(tmp_path, value):
     path.write_text(json.dumps(value))
     with pytest.raises(LatticeFormatError, match="top-level JSON value must be an object"):
         load_lattice(path)
+
+
+@pytest.mark.parametrize("value", [{}, 5, "abc", "", [1.0], [], [[1.0], 2.0], None])
+@pytest.mark.parametrize("name", ["log_transition", "log_emission", "hidden_states"])
+def test_lattice_arrays_must_be_rows_of_numbers(name, value):
+    obj = lattice_to_json_obj(build_random(3, 2, 2, 0))
+    obj[name] = value
+    if name == "hidden_states" and value is None:  # null hidden states are absent ones
+        with pytest.raises(DimensionError, match="hidden_states absent"):
+            lattice_from_json_obj(obj)
+        return
+    with pytest.raises(LatticeFormatError, match=f"^field '{name}': not rows of numbers$"):
+        lattice_from_json_obj(obj)
 
 
 @pytest.mark.parametrize("key", ["graph_size", "vocab_size", "hidden_dim",
