@@ -57,14 +57,14 @@ def memo(lattice, name, key, build):
     return entry[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DagLattice:
     """Immutable (E, P, V) triple in log space plus dimensions.
 
     Construction enforces the structural invariants, and raises
     DimensionError naming the field when one fails:
 
-    - L >= 1, |V| >= 1, d >= 0;
+    - L >= 1, |V| >= 1, d >= 0, each an integer (not a bool), kept as an int;
     - log_transition is (L, L), log_emission (L, |V|), and hidden_states
       (L, d) when d > 0 (absent when d == 0);
     - the graph is a DAG: every log_transition entry on or below the
@@ -93,6 +93,11 @@ class DagLattice:
     hidden_states: np.ndarray | None = None  # (L, d) or None when d == 0
 
     def __post_init__(self):
+        for name in _DIMENSIONS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         L, V, d = self.graph_size, self.vocab_size, self.hidden_dim
         if L < 1 or V < 1 or d < 0:
             raise DimensionError(f"bad dimensions L={L} |V|={V} d={d}")
@@ -161,7 +166,7 @@ def integer_at_least(value, name, least):
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSequence:
     """Integer token-id sequence of length M >= 1, in a read-only int64
     array of its own (see target_tokens)."""

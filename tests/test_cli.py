@@ -261,6 +261,18 @@ def test_pipeline_command(tmp_path, capsys):
     assert report["outputs"]["frames"] == [[1.0], [1.0], [2.0], [2.0], [2.0]]
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_pipeline_with_zero_durations_emits_no_frames(tmp_path, capsys, pretty):
+    (tmp_path / "states.json").write_text(json.dumps([[1.0], [2.0]]))
+    (tmp_path / "dur.json").write_text(json.dumps([0, 0]))
+    code, out = run(capsys, *pretty, "pipeline", "--states", str(tmp_path / "states.json"),
+                    "--durations", str(tmp_path / "dur.json"), "--emit-frames")
+    assert code == 0
+    assert '"frame_count": 0' in out
+    assert '"frames": []' in out
+    assert json.loads(out)["outputs"] == {"frame_count": 0, "frames": []}
+
+
 @pytest.mark.parametrize("tokens", [
     [True, 0], [1, 0.0], ["1", 0],
     [1, 10**30],  # too large for int64

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,34 @@ def test_dimension_mismatch_rejected():
     for dims in ((0, 2, 0), (2, 0, 0), (2, 2, -1)):
         with pytest.raises(DimensionError, match="bad dimensions"):
             DagLattice(*dims, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("value", [2.0, "2", None, True, np.float64(2.0)])
+@pytest.mark.parametrize("field", ["graph_size", "vocab_size", "hidden_dim"])
+def test_dimensions_must_be_integers(field, value):
+    dims = {"graph_size": 2, "vocab_size": 2, "hidden_dim": 0, field: value}
+    message = re.escape(f"{field} must be an integer, got {value!r}")
+    with pytest.raises(DimensionError, match=message):
+        DagLattice(**dims, log_transition=[[NEG_INF, 0.0], [NEG_INF, NEG_INF]],
+                   log_emission=np.log([[0.5, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("fmt", ["json", "binary"])
+def test_numpy_integer_dimensions_are_kept_as_ints(tmp_path, fmt):
+    lat = build_random(4, 3, 2, 3)
+    np_lat = DagLattice(np.int64(4), np.int32(3), np.uint8(2), lat.log_transition,
+                        lat.log_emission, lat.hidden_states)
+    assert all(type(getattr(np_lat, f)) is int for f in ("graph_size", "vocab_size", "hidden_dim"))
+    save_lattice(np_lat, tmp_path / "lat", fmt)
+    assert load_lattice(tmp_path / "lat") == lat
+
+
+def test_lattice_and_target_are_unhashable_and_a_path_is_hashable():
+    with pytest.raises(TypeError, match="unhashable type: 'DagLattice'"):
+        hash(build_random(2, 2))
+    with pytest.raises(TypeError, match="unhashable type: 'TargetSequence'"):
+        hash(TargetSequence([0, 1]))
+    assert hash(VertexPath((0, 2))) == hash(VertexPath([0, 2]))
 
 
 def _with(lat, **arrays):
