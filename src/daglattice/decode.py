@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, VertexPath, integer_at_least, memo
+from .lattice import DagLattice, TargetSequence, VertexPath, aligned_empty, integer_at_least, memo
 from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
@@ -48,7 +48,8 @@ def _viterbi_tables(logE, emit, width, done=None):
     j <= L-n+i, so such a caller passes width = L - n + 1. Entries outside
     the band stay -inf/0. Each step adds the contiguous rows logE_T[i:hi] of a
     transposed copy of log E, taken once per call, into a preallocated
-    (j, k) buffer, so the maximum runs along the contiguous axis.
+    (j, k) buffer, so the maximum runs along the contiguous axis. Both start
+    on a 64-byte boundary, so no vector store of the add splits a cache line.
 
     Every k outside the band has delta -inf or log E[k, j] -inf for a band
     vertex j, because a DagLattice's log E is -inf on and below the
@@ -59,8 +60,9 @@ def _viterbi_tables(logE, emit, width, done=None):
     sweep ends once it returns True; the rows after that stay -inf/0.
     """
     n, L = emit.shape
-    logE_T = np.ascontiguousarray(logE.T)
-    cand = np.empty((max(0, min(width, L)), L))
+    logE_T = aligned_empty(logE.shape[::-1])
+    np.copyto(logE_T, logE.T)
+    cand = aligned_empty((max(0, min(width, L)), L))
     rows = np.arange(cand.shape[0])
     delta = np.full((n, L), NEG_INF)
     phi = np.zeros((n, L), dtype=np.int64)
@@ -128,7 +130,7 @@ def _suffix_bound(logE, emit, lam):
     top = max(logE.max(), emit.max())
     finite = logE > NEG_INF
     A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
-    w = logE + (emit - lam)
+    w = np.add(logE, emit - lam, out=aligned_empty(logE.shape))
     m = w.max(axis=1)  # m(L-1) = -inf
     U = np.zeros(L)
     np.cumsum(np.maximum(m[-2:0:-1], 0.0), out=U[-3::-1])  # from v = L-2 down

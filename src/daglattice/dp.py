@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, memo, target_tokens
+from .lattice import DagLattice, TargetSequence, aligned_empty, memo, target_tokens
 from .logspace import NEG_INF, logsumexp
 
 # Shifted sums outside [1e-250, 1e250] are too close to underflow or
@@ -137,7 +137,7 @@ def _pass_matrix(lattice: DagLattice):
         top = np.max(logE)
         if not np.isfinite(top):
             top = 0.0
-        expE = np.subtract(logE, top)
+        expE = np.subtract(logE, top, out=aligned_empty(logE.shape))
         # clamping before exp also keeps -inf and underflow, exp's slow
         # special cases, out of its input
         np.maximum(expE, _LOG_FLOOR, out=expE)

@@ -11,6 +11,7 @@ entry must also be smaller in magnitude than the largest float over 8 L.
 """
 
 import json
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field, fields
@@ -55,6 +56,16 @@ def memo(lattice, name, key, build):
     if entry is None or entry[0] != key:
         entry = lattice.__dict__[name] = key, build()
     return entry[1]
+
+
+def aligned_empty(shape):
+    """An uninitialised C-ordered float64 array of the given shape tuple,
+    starting on a 64-byte boundary: malloc promises numpy only 16 bytes, so
+    a kernel's 64-byte vector stores would otherwise split cache lines."""
+    buf = np.empty(math.prod(shape) + 7)  # 7 spare entries to reach a boundary
+    start = -buf.ctypes.data % 64 // 8
+    # two slices, as an empty buf[start:start] would keep buf's own address
+    return buf[start:][:buf.size - 7].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,8 @@ import reference_kernels as ref
 from daglattice import DagLattice, InfeasibleTarget, build_random, decode, dp, nll_grad, posterior
 from daglattice.cli import main
 from daglattice.decode import _viterbi_tables
-from daglattice.lattice import BINARY_MAGIC, BINARY_VERSION, LatticeFormatError, load_lattice
+from daglattice.lattice import (BINARY_MAGIC, BINARY_VERSION, LatticeFormatError, aligned_empty,
+                                load_lattice)
 from daglattice.logspace import NEG_INF
 
 LOG_TOL = 1e-12  # relative when |x| >= 1, absolute below
@@ -266,6 +267,25 @@ def test_viterbi_tables_match_axis0_reference():
             assert np.array_equal(phi[band], ref_phi[band])
             assert np.all(delta[~band] == NEG_INF)
             assert np.all(phi[~band] == 0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 7), (1, 1), (5, 3), (241, 256), (256, 256)])
+def test_aligned_empty_starts_on_a_cache_line(shape):
+    # eight live arrays, so that one of malloc's 16-byte layouts cannot pass by luck
+    for a in [aligned_empty(shape) for _ in range(8)]:
+        assert a.ctypes.data % 64 == 0
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.writeable
+
+
+@pytest.mark.parametrize("L", [1, 5, 37, 256])
+def test_kernel_scratch_starts_on_a_cache_line(L):
+    lat = build_random(L, 8, 0, L)
+    expE = dp._pass_matrix(lat)[0]
+    assert expE.ctypes.data % 64 == 0
+    assert not expE.flags.writeable
+    w = decode._suffix_bound(lat.log_transition, decode._greedy(lat)[1], -1.0)[0]
+    assert w.ctypes.data % 64 == 0
 
 
 def _tie_heavy_lattice(rng):
