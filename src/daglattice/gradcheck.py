@@ -15,15 +15,6 @@ from .lattice import DagLattice
 from .logspace import NEG_INF
 
 
-def _perturbed_nll(lattice, target, which, idx, delta):
-    lt = np.array(lattice.log_transition)
-    le = np.array(lattice.log_emission)
-    (lt if which == "E" else le)[idx] += delta
-    pert = DagLattice(lattice.graph_size, lattice.vocab_size, lattice.hidden_dim,
-                      lt, le, lattice.hidden_states)
-    return dp.nll(pert, target)
-
-
 def finite_difference_check(lattice, target, step=1e-6, grad_floor=1e-8):
     """Returns {"max_rel_err", "checked", "skipped"} over all finite entries.
 
@@ -36,18 +27,30 @@ def finite_difference_check(lattice, target, step=1e-6, grad_floor=1e-8):
     if not 0 <= grad_floor < math.inf:  # NaN fails too
         raise ValueError(f"grad_floor must be finite and non-negative, got {grad_floor}")
     dE, dP = dp.nll_grad(lattice, target)
+    # one writable copy of each log matrix; every evaluation writes its
+    # perturbed entry in, and the lattice built from them copies them again,
+    # so the original goes back in as soon as it is built
+    lt, le = np.array(lattice.log_transition), np.array(lattice.log_emission)
+
+    def perturbed_nll(mat, idx, delta):
+        original = mat[idx]
+        mat[idx] = original + delta
+        pert = DagLattice(lattice.graph_size, lattice.vocab_size, lattice.hidden_dim,
+                          lt, le, lattice.hidden_states)
+        mat[idx] = original
+        return dp.nll(pert, target)
+
     max_rel = 0.0
     checked = 0
     skipped = 0
-    for which, mat, grad in (("E", lattice.log_transition, dE),
-                             ("P", lattice.log_emission, dP)):
+    for mat, grad in ((lt, dE), (le, dP)):
         for idx in zip(*np.nonzero(mat > NEG_INF)):
             g = grad[idx]
             if abs(g) <= grad_floor:
                 skipped += 1
                 continue
-            hi = _perturbed_nll(lattice, target, which, idx, step)
-            lo = _perturbed_nll(lattice, target, which, idx, -step)
+            hi = perturbed_nll(mat, idx, step)
+            lo = perturbed_nll(mat, idx, -step)
             fd = (hi - lo) / (2.0 * step)
             rel = abs(fd - g) / max(abs(fd), abs(g))
             max_rel = max(max_rel, rel)

@@ -304,6 +304,11 @@ def _null_to_inf(rows, name, neg_inf):
     """A lattice array from JSON as float64; null is -inf where neg_inf allows it."""
     if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
         raise LatticeFormatError(f"field {name!r}: not rows of numbers")
+    # numpy's own text for ragged rows names no row, and differs by version
+    for k, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise LatticeFormatError(f"field {name!r} row {k}: {len(row)} entries, "
+                                     f"row 0 has {len(rows[0])}")
     try:
         # float(v) would let strings and booleans in; the class check that
         # replaces it costs no more on the nulls and floats that make up

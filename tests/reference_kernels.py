@@ -6,15 +6,16 @@ temporary, the NLL gradient sums the (M-1, L, L) edge-posterior tensor, and
 the max-plus step reduces along axis 0, and validation checks one row at a
 time. They are slow but obviously right; tests compare
 dp.forward/backward/posterior/nll_grad, the decode tables and
-lattice.validate against them. stepwise_forward and stepwise_backward are
-the BLAS passes with their range test and exact per-column fallback run on
-every step (log_vecmat), which dp's one-test-per-pass sweep must match bit
-for bit.
+lattice.validate against them, and the gradient check's report against the
+one that copies both log matrices for every perturbed evaluation.
+stepwise_forward and stepwise_backward are the BLAS passes with their range
+test and exact per-column fallback run on every step (log_vecmat), which
+dp's one-test-per-pass sweep must match bit for bit.
 """
 
 import numpy as np
 
-from daglattice import dp
+from daglattice import DagLattice, dp
 from daglattice.logspace import NEG_INF, logsumexp
 
 
@@ -106,6 +107,29 @@ def nll_grad(lattice, y):
         dP[:, v] -= gamma[i]
     dP[lattice.log_emission == NEG_INF] = 0.0
     return dE, dP
+
+
+def finite_difference_check(lattice, y, step=1e-6, grad_floor=1e-8):
+    """The gradient check's report with fresh copies of both log matrices
+    for every perturbed evaluation, each entry perturbed by += delta."""
+    def perturbed_nll(which, idx, delta):
+        lt, le = np.array(lattice.log_transition), np.array(lattice.log_emission)
+        (lt if which == "E" else le)[idx] += delta
+        return dp.nll(DagLattice(lattice.graph_size, lattice.vocab_size, lattice.hidden_dim,
+                                 lt, le, lattice.hidden_states), y)
+
+    dE, dP = dp.nll_grad(lattice, y)
+    report = {"max_rel_err": 0.0, "checked": 0, "skipped": 0}
+    for which, mat, grad in (("E", lattice.log_transition, dE), ("P", lattice.log_emission, dP)):
+        for idx in zip(*np.nonzero(mat > NEG_INF)):
+            if abs(grad[idx]) <= grad_floor:
+                report["skipped"] += 1
+                continue
+            fd = (perturbed_nll(which, idx, step) - perturbed_nll(which, idx, -step)) / (2.0 * step)
+            rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]))
+            report["max_rel_err"] = max(report["max_rel_err"], rel)
+            report["checked"] += 1
+    return report
 
 
 def viterbi_tables(logE, emit):

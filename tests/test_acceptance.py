@@ -33,6 +33,8 @@ from daglattice.gradcheck import finite_difference_check
 from daglattice.pipeline import length_regulate, tts_losses
 from daglattice import dp
 
+import reference_kernels as ref
+
 
 def _instances(n, seed, hidden_dim=0, l_max=8, m_max=6, l_min=2):
     """Random (lattice, target) pairs, always feasible (M <= L)."""
@@ -93,6 +95,10 @@ def test_gradient_finite_differences():
     for lat, y in _instances(50, seed=500, l_max=6, m_max=5):
         result = finite_difference_check(lat, y, step=1e-6, grad_floor=1e-8)
         assert result["max_rel_err"] <= 1e-5
+        # the same perturbed values as copying both matrices per evaluation;
+        # after a step of 1, subtracting it again would not restore every entry
+        assert result == ref.finite_difference_check(lat, y, step=1e-6, grad_floor=1e-8)
+        assert finite_difference_check(lat, y, step=1.0) == ref.finite_difference_check(lat, y, 1.0)
     _report("gradient check (50 instances, max relative error <= 1e-5)")
 
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from daglattice import DagLattice, TargetSequence, build_random, save_lattice, save_target
+from daglattice import (DagLattice, TargetSequence, build_random, load_lattice, load_target,
+                        save_lattice, save_target)
 from daglattice.cli import main
 from daglattice.logspace import NEG_INF
 
+import reference_kernels as ref
 from conftest import lattice_from_probs
 
 DIRECTORY = object()  # a case value: a directory stands where the file should be
@@ -110,6 +112,14 @@ def test_gradcheck(fixture_dir, capsys):
                     "--target", str(fixture_dir / "tgt.json"))
     assert code == 0
     assert json.loads(out)["outputs"]["max_rel_err"] <= 1e-5
+    # the same perturbed values as copying both matrices per evaluation;
+    # after a step of 1, subtracting it again would not restore every entry
+    lat, tgt = load_lattice(fixture_dir / "lat.json"), load_target(fixture_dir / "tgt.json")
+    assert json.loads(out)["outputs"] == ref.finite_difference_check(lat, tgt.tokens)
+    _, out = run(capsys, "gradcheck", "--step", "1",
+                 "--lattice", str(fixture_dir / "lat.json"),
+                 "--target", str(fixture_dir / "tgt.json"))
+    assert json.loads(out)["outputs"] == ref.finite_difference_check(lat, tgt.tokens, 1.0)
 
 
 def test_posterior_gamma_rows_normalized(fixture_dir, capsys):
@@ -557,6 +567,9 @@ MALFORMED_FIELDS = [  # (where in the lattice object, the value put there)
     # matrix were shape errors (exit 4)
     *(((name,), value) for name in ("log_transition", "log_emission", "hidden_states")
       for value in ({}, 5, "abc", [1.0], [], "")),
+    # rows of unequal length, named by their row
+    (("hidden_states", 0), []),
+    (("log_emission", 2), [-1.0]),
 ]
 
 
@@ -581,6 +594,33 @@ def test_malformed_json_fields_exit_2_and_name_the_field(fixture_dir, capsys, wh
         assert captured.out == ""
         assert repr(where[0]) in captured.err
         assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize("name, row, value, message", [
+    ("hidden_states", 0, [], "field 'hidden_states' row 1: 3 entries, row 0 has 0"),
+    ("log_emission", 2, [-1.0], "field 'log_emission' row 2: 1 entries, row 0 has 4"),
+])
+def test_ragged_json_rows_exit_2_and_name_the_first_odd_row(fixture_dir, capsys,
+                                                             name, row, value, message):
+    obj = json.loads((fixture_dir / "lat.json").read_text())
+    obj[name][row] = value
+    (fixture_dir / "bad.json").write_text(json.dumps(obj))
+    code = main(["--no-timing", "decode", "--strategy", "viterbi",
+                 "--lattice", str(fixture_dir / "bad.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+
+
+def test_json_rows_all_of_the_wrong_width_exit_4(fixture_dir, capsys):
+    obj = json.loads((fixture_dir / "lat.json").read_text())
+    obj["log_emission"] = [row[:-1] for row in obj["log_emission"]]
+    (fixture_dir / "bad.json").write_text(json.dumps(obj))
+    code = main(["--no-timing", "decode", "--strategy", "viterbi",
+                 "--lattice", str(fixture_dir / "bad.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "log_emission shape (6, 3), expected (6, 4)" in captured.err
 
 
 # What the fuzz test puts into files: JSON tokens that are odd in one field
