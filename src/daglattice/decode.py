@@ -293,13 +293,13 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     )
 
 
-def tau_schedule(step, total_steps, tau_start=0.5, tau_end=0.1) -> float:
-    """Linear anneal of the unmasking ratio from tau_start to tau_end over
-    integer steps 0..total_steps."""
+def tau_schedule(step, total_steps) -> float:
+    """Linear anneal of the unmasking ratio from 0.5 to 0.1 over integer
+    steps 0..total_steps, as in DA-Transformer's glancing."""
     total_steps = integer_at_least(total_steps, "total_steps", 1)
     if integer_at_least(step, "step", 0) > total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    return tau_start + (tau_end - tau_start) * step / total_steps
+    return 0.5 + (0.1 - 0.5) * step / total_steps
 
 
 def unmask_count(tau, length) -> int:

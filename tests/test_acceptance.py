@@ -93,11 +93,11 @@ def test_best_path_matches_oracle():
 
 def test_gradient_finite_differences():
     for lat, y in _instances(50, seed=500, l_max=6, m_max=5):
-        result = finite_difference_check(lat, y, step=1e-6, grad_floor=1e-8)
+        result = finite_difference_check(lat, y, step=1e-6)
         assert result["max_rel_err"] <= 1e-5
         # the same perturbed values as copying both matrices per evaluation;
         # after a step of 1, subtracting it again would not restore every entry
-        assert result == ref.finite_difference_check(lat, y, step=1e-6, grad_floor=1e-8)
+        assert result == ref.finite_difference_check(lat, y, step=1e-6)
         assert finite_difference_check(lat, y, step=1.0) == ref.finite_difference_check(lat, y, 1.0)
     _report("gradient check (50 instances, max relative error <= 1e-5)")
 
@@ -171,8 +171,8 @@ def test_glancing_contract():
     for tenths in range(11):
         for M in range(1, 11):
             assert unmask_count(tenths / 10, M) == math.ceil(Fraction(tenths, 10) * M)
-    assert tau_schedule(0, 100, 0.5, 0.1) == pytest.approx(0.5, abs=1e-12)
-    assert tau_schedule(100, 100, 0.5, 0.1) == pytest.approx(0.1, abs=1e-12)
+    assert tau_schedule(0, 100) == pytest.approx(0.5, abs=1e-12)
+    assert tau_schedule(100, 100) == pytest.approx(0.1, abs=1e-12)
     _report("glancing contract (unmask count exact, tau endpoints 0.5 / 0.1)")
 
 

@@ -233,13 +233,13 @@ class TestGlance:
 
 class TestTauSchedule:
     def test_anneal_start(self):
-        assert tau_schedule(0, 100, 0.5, 0.1) == pytest.approx(0.5)
+        assert tau_schedule(0, 100) == pytest.approx(0.5)
 
     def test_anneal_end(self):
-        assert tau_schedule(100, 100, 0.5, 0.1) == pytest.approx(0.1)
+        assert tau_schedule(100, 100) == pytest.approx(0.1)
 
     def test_midpoint(self):
-        assert tau_schedule(50, 100, 0.5, 0.1) == pytest.approx(0.3)
+        assert tau_schedule(50, 100) == pytest.approx(0.3)
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

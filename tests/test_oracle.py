@@ -83,11 +83,10 @@ def test_argmax_length_must_be_an_integer_at_least_one(length):
 
 
 def test_cap_enforced():
-    lat = build_random(13, 3, 0, 0)
-    with pytest.raises(CapExceeded):
-        enumerate_logprob(lat, list(range(3)))
-    # explicit larger cap lifts the limit
-    assert np.isfinite(enumerate_logprob(lat, [0, 1, 2], cap=13))
+    """12 vertices is the cap: a 12-vertex lattice enumerates, 13 do not."""
+    assert np.isfinite(enumerate_logprob(build_random(12, 3, 0, 0), [0, 1, 2]))
+    with pytest.raises(CapExceeded, match="graph size 13 exceeds enumeration cap 12"):
+        enumerate_logprob(build_random(13, 3, 0, 0), [0, 1, 2])
 
 
 def _impossible_last_token(lat):
