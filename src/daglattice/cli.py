@@ -161,10 +161,7 @@ def cmd_pipeline(args, lat, target):
         if any(f is None for f in loss_files):
             raise pipeline.ShapeMismatch("all eight pred/gt loss files are required together")
         tts = pipeline.tts_losses(*(load_numbers(f) for f in loss_files))
-        outputs["tts"] = {
-            "l1": tts.l1, "dur_mse": tts.dur_mse, "pitch_mse": tts.pitch_mse,
-            "energy_mse": tts.energy_mse, "total": tts.total,
-        }
+        outputs["tts"] = vars(tts)
     if lat is None:
         return outputs
     outputs["nll"] = dp.nll(lat, target)
@@ -194,7 +191,11 @@ def _calls_per_sample(lat, target):
 def cmd_bench(args, lat, target):
     integer_at_least(args.repeats, "--repeats", 1)
     integer_at_least(args.target_len, "--target-len", 1)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [integer_at_least(int(s), "--sizes", 1) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes must be integers >= 1 separated by commas, "
+                         f"got {args.sizes!r}") from None
     if sizes != sorted(sizes):
         raise ValueError("--sizes must be ascending")
     args.sizes = sizes  # the report echoes the parsed sizes
@@ -229,6 +230,20 @@ def cmd_bench(args, lat, target):
     return {"rows": rows}
 
 
+def _seed(flag):
+    """The seed: --seed, else DAGLATTICE_SEED, else 0; an integer >= 0, or a
+    ValueError naming where the value came from."""
+    if flag is not None:
+        return integer_at_least(flag, "--seed", 0)
+    text = os.environ.get("DAGLATTICE_SEED")
+    if not text:
+        return 0
+    try:
+        return integer_at_least(int(text), "DAGLATTICE_SEED", 0)
+    except ValueError:
+        raise ValueError(f"DAGLATTICE_SEED must be an integer >= 0, got {text!r}") from None
+
+
 def _run(args):
     """Load what the command declares, run it, print its one JSON report and
     return the exit code. A command returns its outputs, or (outputs, exit
@@ -249,9 +264,8 @@ def _run(args):
     if "target" in args.inputs and args.target is not None:
         target = load_target(args.target)
     has_seed = "seed" in vars(args)
-    if has_seed and args.seed is None:
-        env = os.environ.get("DAGLATTICE_SEED")
-        args.seed = int(env) if env else 0
+    if has_seed:
+        args.seed = _seed(args.seed)
     outputs = args.fn(args, lat, target)
     code = 0
     if isinstance(outputs, tuple):
@@ -262,7 +276,7 @@ def _run(args):
     if not args.no_timing:
         report["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
     if has_seed:
-        report["seed"] = int(args.seed)
+        report["seed"] = args.seed
     print(_render(report, args.pretty))
     return code
 

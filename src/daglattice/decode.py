@@ -303,10 +303,13 @@ def tau_schedule(step, total_steps) -> float:
 
 
 def unmask_count(tau, length) -> int:
-    """ceil(tau * M) with a guard against float noise in the product."""
+    """ceil(tau * M) in float64 with a guard against float noise in the
+    product, and never more than M, which the product can round above when
+    M > 2**53."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    return math.ceil(round(tau * integer_at_least(length, "length", 0), 9))
+    M = integer_at_least(length, "length", 0)
+    return min(math.ceil(round(float(tau) * M, 9)), M)
 
 
 def glance_assign(lattice: DagLattice, target, tau, seed=0) -> GlanceAssignment:

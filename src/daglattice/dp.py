@@ -332,7 +332,19 @@ def nll_grad(lattice: DagLattice, target):
 
 
 def composite_loss(nll_value, tts_loss_value, mu):
-    """Weighted sum nll_value + mu * tts_loss_value, for a finite mu >= 0."""
+    """Weighted sum nll_value + mu * tts_loss_value, for an nll_value above
+    -inf (+inf is an infeasible target's, and the sum is then +inf), a
+    finite tts_loss_value and a finite mu >= 0. The sum is finite otherwise:
+    a ValueError names the argument out of range, or the sum that overflows."""
     if not 0 <= mu < math.inf:  # NaN fails too
         raise ValueError(f"mu must be finite and non-negative, got {mu}")
-    return float(nll_value) + float(mu) * float(tts_loss_value)
+    if not -math.inf < nll_value <= math.inf:
+        raise ValueError(f"nll_value must be a number above -inf, got {nll_value}")
+    if not math.isfinite(tts_loss_value):
+        raise ValueError(f"tts_loss_value must be finite, got {tts_loss_value}")
+    weighted = float(mu) * float(tts_loss_value)
+    total = float(nll_value) + weighted
+    if math.isinf(weighted) or math.isinf(total) and math.isfinite(nll_value):
+        raise ValueError(f"nll_value + mu * tts_loss_value overflows: "
+                         f"{nll_value} + {mu} * {tts_loss_value}")
+    return total

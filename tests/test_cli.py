@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from daglattice import (DagLattice, TargetSequence, build_random, load_lattice, load_target,
                         save_lattice, save_target)
-from daglattice.cli import main
+from daglattice.cli import build_parser, main
 from daglattice.logspace import NEG_INF
 
 import reference_kernels as ref
@@ -809,6 +810,55 @@ def test_bench_sizes_must_ascend(capsys):
     code, err = run_error(capsys, "bench", "--sizes", "16,8", "--repeats", "1")
     assert code == 4
     assert "--sizes must be ascending" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pipeline_combined_loss_that_overflows_exits_4(fixture_dir, capsys):
+    argv = _loss_argv(fixture_dir)[1:] + ["--lattice", str(fixture_dir / "single.json"),
+                                          "--target", str(fixture_dir / "single_tgt.json")]
+    write_input(fixture_dir / "pred-mel.json", [1e10, 2])
+    assert run(capsys, *argv, "--mu", "1e290")[0] == 0
+    code, err = run_error(capsys, *argv, "--mu", "1e300")
+    assert code == 4
+    assert "nll_value + mu * tts_loss_value overflows" in err
+
+
+BENCH = ["bench", "--repeats", "1", "--sizes"]
+GLANCE = ["glance", "--lattice", "{d}/lat.json", "--target", "{d}/tgt.json", "--tau", "0.5"]
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (BENCH + ["8,x"], None, "--sizes"),
+    (BENCH + [""], None, "--sizes"),
+    (BENCH + ["-4"], None, "--sizes"),
+    (BENCH + ["8,0"], None, "--sizes"),
+    (BENCH + ["8", "--seed", "-1"], None, "--seed"),
+    (BENCH + ["8"], "abc", "DAGLATTICE_SEED"),
+    (BENCH + ["8"], "-1", "DAGLATTICE_SEED"),
+    (GLANCE + ["--seed", "-1"], None, "--seed"),
+    (GLANCE, "1.5", "DAGLATTICE_SEED"),
+    (GLANCE + ["--seed", "-1"], "3", "--seed"),  # the flag wins over the environment
+])
+def test_bad_sizes_and_seeds_exit_4_and_name_where_they_came_from(fixture_dir, capsys,
+                                                                  monkeypatch, argv, env, named):
+    if env is None:
+        monkeypatch.delenv("DAGLATTICE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DAGLATTICE_SEED", env)
+    code, err = run_error(capsys, *(a.format(d=fixture_dir) for a in argv))
+    assert code == 4
+    assert err.startswith(f"error: {named} must be")
+
+
+def test_readme_cli_section_names_exactly_the_parsers_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parsers = [build_parser()]
+    parsers += [p for action in parsers[0]._actions if isinstance(action.choices, dict)
+                for p in action.choices.values()]
+    defined = {flag for p in parsers for flag in p._option_string_actions if flag.startswith("--")}
+    assert named == defined
 
 
 def test_oracle_posterior_matches_the_dp_posterior(fixture_dir, capsys):
