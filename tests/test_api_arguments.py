@@ -14,6 +14,8 @@ from daglattice.decode import unmask_count
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+# integers fit in 64 bits, as counts and tokens in files do; a Python
+# integer beyond the float range still raises OverflowError here
 INT64 = st.integers(-2**63, 2**63 - 1)
 # NaN, infinities, huge finite floats, bools, numpy scalars and floats
 # where integers belong, beside plain integers
