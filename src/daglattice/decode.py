@@ -38,7 +38,7 @@ class GlanceAssignment:
 
 
 def _viterbi_tables(logE, emit, width, done=None):
-    """delta/phi tables of the max-plus recursion, one row per row of emit.
+    """delta/phi tables of the max-plus recursion, one row per step.
 
     delta[0] is one-hot at vertex 0 with score emit[0, 0]; for i >= 1
     delta[i, j] = max_k delta[i-1, k] + logE[k, j] + emit[i, j] and phi[i, j]
@@ -46,10 +46,13 @@ def _viterbi_tables(logE, emit, width, done=None):
     j in [i, min(i + width, L)): a strictly increasing path is at a vertex
     j >= i at step i, and one that must end at vertex L-1 at step n-1 is at
     j <= L-n+i, so such a caller passes width = L - n + 1. Entries outside
-    the band stay -inf/0. Each step adds the contiguous rows logE_T[i:hi] of a
-    transposed copy of log E, taken once per call, into a preallocated
-    (j, k) buffer, so the maximum runs along the contiguous axis. Both start
-    on a 64-byte boundary, so no vector store of the add splits a cache line.
+    the band stay -inf/0. Step 1 reads row 0 of log E: delta[0] is -inf but
+    at vertex 0, so delta[1, j] = emit[0, 0] + logE[0, j] + emit[1, j] and
+    phi[1, j] = 0, the first maximum even when all candidates are -inf.
+    Each later step adds the contiguous rows logE_T[i:hi] of a transposed
+    copy of log E, taken once per call, into a preallocated (j, k) buffer,
+    so the maximum runs along the contiguous axis. Both start on a 64-byte
+    boundary, so no vector store of the add splits a cache line.
 
     Every k outside the band has delta -inf or log E[k, j] -inf for a band
     vertex j, because a DagLattice's log E is -inf on and below the
@@ -57,24 +60,40 @@ def _viterbi_tables(logE, emit, width, done=None):
     recursion and every path read back from a band entry stays in the band.
 
     If given, done(i, delta[i]) is called after each step i >= 1, and the
-    sweep ends once it returns True; the rows after that stay -inf/0.
+    sweep ends once it returns True. Such a sweep usually ends within a few
+    steps, so its tables start at two rows and double whenever a step
+    reaches their end (at most n): filling full (n, L) tables would cost
+    more than the steps it runs. A sweep that stops at step s returns at
+    most 2(s+1) rows; every row after the last step run is -inf/0.
     """
     n, L = emit.shape
+    rows = n if done is None else min(n, 2)
+    delta = np.full((rows, L), NEG_INF)
+    phi = np.zeros((rows, L), dtype=np.int64)
+    delta[0, 0] = emit[0, 0]
+    if n < 2 or min(1 + width, L) <= 1:
+        return delta, phi
+    hi = min(1 + width, L)
+    np.add(logE[0, 1:hi], emit[0, 0], out=delta[1, 1:hi])
+    np.add(delta[1, 1:hi], emit[1, 1:hi], out=delta[1, 1:hi])
+    if done is not None and done(1, delta[1]):
+        return delta, phi
     logE_T = aligned_empty(logE.shape[::-1])
     np.copyto(logE_T, logE.T)
     cand = aligned_empty((max(0, min(width, L)), L))
-    rows = np.arange(cand.shape[0])
-    delta = np.full((n, L), NEG_INF)
-    phi = np.zeros((n, L), dtype=np.int64)
-    delta[0, 0] = emit[0, 0]
-    for i in range(1, n):
+    band = np.arange(cand.shape[0])
+    for i in range(2, n):
         hi = min(i + width, L)
         if hi <= i:
             break
+        if i == rows:
+            rows = min(n, 2 * rows)
+            delta = np.concatenate((delta, np.full((rows - i, L), NEG_INF)))
+            phi = np.concatenate((phi, np.zeros((rows - i, L), dtype=np.int64)))
         c = cand[: hi - i]
         np.add(logE_T[i:hi], delta[i - 1], out=c)  # c[j - i, k] = delta[i-1, k] + logE[k, j]
         np.argmax(c, axis=1, out=phi[i, i:hi])
-        np.add(c[rows[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
+        np.add(c[band[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
         if done is not None and done(i, delta[i]):
             break
     return delta, phi
@@ -90,13 +109,31 @@ def _backtrack(phi, step):
     return verts
 
 
+# entries in one block of _greedy's writable buffer: 32 rows at |V| = 1000
+_GREEDY_BLOCK = 32768
+
+
 def _greedy(lattice: DagLattice):
     """Per-vertex emission argmax tokens and their log-probabilities, as
-    read-only arrays computed once per lattice through lattice.memo."""
+    read-only arrays computed once per lattice through lattice.memo.
+
+    np.argmax copies a read-only array whole before it reduces (2 MB for a
+    read-only 256 x 1000 log P), and a DagLattice's log P is read-only. So
+    the argmax runs over blocks of rows copied into one small writable
+    buffer (about 256 KB), which stays in cache; ties still go to the
+    smallest token id.
+    """
     def build():
         logP = lattice.log_emission
-        toks = np.argmax(logP, axis=1)
-        logp = logP[np.arange(lattice.graph_size), toks]
+        L, V = logP.shape
+        step = max(1, _GREEDY_BLOCK // V)
+        buf = np.empty((min(step, L), V))
+        toks = np.empty(L, dtype=np.intp)
+        for s in range(0, L, step):
+            block = buf[: min(step, L - s)]
+            np.copyto(block, logP[s : s + step])
+            np.argmax(block, axis=1, out=toks[s : s + step])
+        logp = logP[np.arange(L), toks]
         toks.setflags(write=False)
         logp.setflags(write=False)
         return toks, logp
@@ -131,17 +168,23 @@ def _suffix_bound(logE, emit, lam):
     finite = logE > NEG_INF
     A = max(top, -logE.min(initial=0.0, where=finite), -emit.min(initial=0.0, where=emit > NEG_INF))
     w = np.add(logE, emit - lam, out=aligned_empty(logE.shape))
-    m = w.max(axis=1)  # m(L-1) = -inf
+    m = _row_max(w)  # m(L-1) = -inf
     U = np.zeros(L)
     np.cumsum(np.maximum(m[-2:0:-1], 0.0), out=U[-3::-1])  # from v = L-2 down
     U[:-1] += m[:-1]
     return w, U, 32.0 * L * L * 2.0**-53 * A  # A last: 32 L^2 A itself may overflow
 
 
+def _row_max(a):
+    """a.max(axis=1) of a C-ordered 2-D array, as argmax and a take, which
+    cost less than half of it at 217 x 256."""
+    return a.ravel().take(a.argmax(axis=1) + np.arange(0, a.size, a.shape[1]))
+
+
 def _tighten(w, U, i):
     """One Bellman step U <- min(U, max_k w[., k] + U(k)) on [i, L-1), in
     place; False if it changed nothing, which leaves U = R there."""
-    t = (w[i:-1] + U).max(axis=1)
+    t = _row_max(w[i:-1] + U)
     changed = (t < U[i:-1]).any()
     np.minimum(U[i:-1], t, out=U[i:-1])
     return changed
@@ -277,8 +320,8 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
         logE, np.broadcast_to(emit, (L, L)), L, _longer_cannot_win(logE, emit, normalized)
     )  # (step, vertex); the rows after an early stop stay -inf
 
-    finals = delta[:, L - 1]  # index i -> path length i+1
-    crit = finals / np.arange(1, L + 1) if normalized else finals
+    finals = delta[:, L - 1]  # index i -> path length i+1, over the rows the sweep made
+    crit = finals / np.arange(1, finals.size + 1) if normalized else finals
     best_i = int(np.argmax(crit))  # shortest length wins exact ties
     # the sweep stops early only once some length has a finite score, so
     # all -inf means no finite-probability path reaches vertex L-1

@@ -203,19 +203,29 @@ def test_memo_is_invisible_to_equality_repr_and_saving(tmp_path):
 
 
 def test_greedy_tokens_computed_once_per_lattice(monkeypatch):
+    """Three decoder calls build the greedy tokens once: each row of log P
+    is copied into the argmax buffer once in all, and log P itself never
+    reaches np.argmax, which would copy it whole."""
     lat = fresh()
-    calls = []
-    real = np.argmax
+    rows_copied, argmax_on_log_p = [], []
+    real_copyto, real_argmax = np.copyto, np.argmax
 
-    def counting(a, *args, **kwargs):
-        calls.append(a is lat.log_emission)
-        return real(a, *args, **kwargs)
+    def copyto(dst, src, *args, **kwargs):
+        if isinstance(src, np.ndarray) and np.shares_memory(src, lat.log_emission):
+            rows_copied.append(src.shape[0])
+        return real_copyto(dst, src, *args, **kwargs)
 
-    monkeypatch.setattr(np, "argmax", counting)
+    def argmax(a, *args, **kwargs):
+        argmax_on_log_p.append(a is lat.log_emission)
+        return real_argmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", copyto)
+    monkeypatch.setattr(np, "argmax", argmax)
     first = decode.joint_viterbi(lat)
     decode.lookahead(lat)
     decode.joint_viterbi(lat, "raw")
-    assert sum(calls) == 1
+    assert sum(rows_copied) == GRAPH
+    assert argmax_on_log_p and not any(argmax_on_log_p)
     monkeypatch.undo()
     assert decode.joint_viterbi(lat) == first
     toks, logp = decode._greedy(lat)

@@ -269,6 +269,77 @@ def test_viterbi_tables_match_axis0_reference():
             assert np.all(phi[~band] == 0)
 
 
+def test_stopped_viterbi_sweep_keeps_at_most_twice_its_rows():
+    """A sweep whose stopping rule fires at step s grows its tables to at
+    most 2(s+1) rows: rows 0..s bit-identical to the full sweep's, the rest
+    -inf/0, and the rule sees each row as the full sweep has it."""
+    lats = [lat for lat, _ in _lattice_mix(40, seed=14)] + [build_random(64, 50, 0, 3)]
+    for lat in lats:
+        logE, logP = lat.log_transition, lat.log_emission
+        L = lat.graph_size
+        best_emit = np.broadcast_to(logP[np.arange(L), np.argmax(logP, axis=1)], (L, L))
+        for width in (L, max(1, L // 2)):
+            full_delta, full_phi = _viterbi_tables(logE, best_emit, width)
+            for s in range(1, L):
+                seen = []
+
+                def done(i, row):
+                    seen.append(row.tobytes() == full_delta[i].tobytes())
+                    return i == s
+
+                delta, phi = _viterbi_tables(logE, best_emit, width, done)
+                n = delta.shape[0]
+                ran = min(s, n - 1, L - 1)
+                assert phi.shape == delta.shape and ran + 1 <= n <= 2 * (s + 1)
+                assert all(seen) and len(seen) == ran
+                assert delta[: ran + 1].tobytes() == full_delta[: ran + 1].tobytes()
+                assert np.array_equal(phi[: ran + 1], full_phi[: ran + 1])
+                assert np.all(delta[ran + 1 :] == NEG_INF) and np.all(phi[ran + 1 :] == 0)
+
+
+def _greedy_cases(rng):
+    """Tie-heavy and masked lattices, one with rows that are entirely -inf,
+    and a benchmark-shaped one with tied maxima and -inf rows."""
+    for t in range(60):
+        yield (_tie_heavy_lattice, _masked_lattice)[t % 2](rng)
+    le = np.where(rng.random((9, 4)) < 0.5, -0.5, -1.5)
+    le[[0, 4, 8]] = NEG_INF
+    lt = np.triu(np.full((9, 9), -1.0), k=1)
+    lt[np.tril_indices(9)] = NEG_INF
+    yield DagLattice(9, 4, 0, lt, le)
+    big = build_random(256, 1000, 0, 9)
+    le = big.log_emission.copy()
+    le[::7] = NEG_INF
+    le[1::5, ::97] = 0.0  # several exact ties at the row maximum
+    yield DagLattice(256, 1000, 0, big.log_transition, le)
+
+
+@pytest.mark.parametrize("block", [1, 5, decode._GREEDY_BLOCK])
+def test_greedy_matches_argmax_of_a_writable_copy(monkeypatch, block):
+    """Block by block, the greedy tokens are np.argmax of the whole log P
+    (first maximum, 0 on a row of -inf), and their scores its entries."""
+    monkeypatch.setattr(decode, "_GREEDY_BLOCK", block)
+    for lat in _greedy_cases(np.random.default_rng(15)):
+        logP = lat.log_emission.copy()  # writable
+        want = np.argmax(logP, axis=1)
+        toks, logp = decode._greedy(lat)
+        assert np.array_equal(toks, want)
+        assert logp.tobytes() == logP[np.arange(lat.graph_size), want].tobytes()
+
+
+def test_greedy_peak_memory_stays_under_a_megabyte():
+    lat = build_random(256, 1000, 0, 2)
+    assert not lat.log_emission.flags.writeable
+    tracemalloc.start()
+    try:
+        decode._greedy(lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # np.argmax copies a read-only log P whole: 2.05 MB at this shape
+    assert peak < 2**20, f"_greedy peak {peak / 2**20:.2f} MB"
+
+
 @pytest.mark.parametrize("shape", [(0,), (0, 7), (1, 1), (5, 3), (241, 256), (256, 256)])
 def test_aligned_empty_starts_on_a_cache_line(shape):
     # eight live arrays, so that one of malloc's 16-byte layouts cannot pass by luck
