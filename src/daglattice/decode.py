@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, VertexPath, aligned_empty, integer_at_least, memo
+from .lattice import (DagLattice, TargetSequence, VertexPath, aligned_empty, integer_at_least,
+                      memo, real_number)
 from .logspace import NEG_INF
 from .dp import InfeasibleTarget, _tokens
 
@@ -338,8 +339,9 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
 
 def tau_schedule(step, total_steps) -> float:
     """Linear anneal of the unmasking ratio from 0.5 to 0.1 over integer
-    steps 0..total_steps, as in DA-Transformer's glancing."""
-    total_steps = integer_at_least(total_steps, "total_steps", 1)
+    steps 0..total_steps, as in DA-Transformer's glancing. A ValueError
+    names an argument that is not such an integer, or beyond the float range."""
+    total_steps = real_number(integer_at_least(total_steps, "total_steps", 1), "total_steps")
     if integer_at_least(step, "step", 0) > total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     return 0.5 + (0.1 - 0.5) * step / total_steps
@@ -348,10 +350,11 @@ def tau_schedule(step, total_steps) -> float:
 def unmask_count(tau, length) -> int:
     """ceil(tau * M) in float64 with a guard against float noise in the
     product, and never more than M, which the product can round above when
-    M > 2**53."""
-    if not 0.0 <= tau <= 1.0:
+    M > 2**53. A ValueError names a tau that is not a real number in [0, 1]
+    or a length that is not an integer >= 0 within the float range."""
+    if not 0.0 <= real_number(tau, "tau") <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    M = integer_at_least(length, "length", 0)
+    M = real_number(integer_at_least(length, "length", 0), "length")
     return min(math.ceil(round(float(tau) * M, 9)), M)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DagLattice, TargetSequence, aligned_empty, memo, target_tokens
+from .lattice import DagLattice, TargetSequence, aligned_empty, memo, real_number, target_tokens
 from .logspace import NEG_INF, logsumexp
 
 # Shifted sums outside [1e-250, 1e250] are too close to underflow or
@@ -336,6 +336,8 @@ def composite_loss(nll_value, tts_loss_value, mu):
     -inf (+inf is an infeasible target's, and the sum is then +inf), a
     finite tts_loss_value and a finite mu >= 0. The sum is finite otherwise:
     a ValueError names the argument out of range, or the sum that overflows."""
+    for name, value in (("mu", mu), ("nll_value", nll_value), ("tts_loss_value", tts_loss_value)):
+        real_number(value, name)
     if not 0 <= mu < math.inf:  # NaN fails too
         raise ValueError(f"mu must be finite and non-negative, got {mu}")
     if not -math.inf < nll_value <= math.inf:

@@ -177,6 +177,19 @@ def integer_at_least(value, name, least):
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def real_number(value, name):
+    """value itself when float() takes it and it is not a string; a
+    ValueError naming the argument otherwise, as for None or an integer
+    beyond the float range."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            float(value)
+            return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a real number within the float range, got {value!r:.60}")
+
+
 @dataclass(frozen=True, eq=False)
 class TargetSequence:
     """Integer token-id sequence of length M >= 1, in a read-only int64

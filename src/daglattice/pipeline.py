@@ -38,26 +38,52 @@ class LossBreakdown:
     combined: float
 
 
+def _durations(durations) -> np.ndarray:
+    """durations as an int64 array of whole frame counts below 2**63:
+    integers, or floats with integral values, and not booleans; a ValueError
+    naming durations otherwise (for None, strings and integers beyond 64 bits
+    too)."""
+    arr = np.asarray(durations)
+    if arr.dtype.kind == "b" or isinstance(durations, (list, tuple)) and any(
+            isinstance(t, (bool, np.bool_)) for t in durations):
+        raise ValueError("durations must be frame counts, not booleans")
+    if arr.dtype.kind == "O":  # integers beyond 64 bits, None or other objects
+        try:
+            arr = arr.astype(np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"durations must be whole frame counts: {exc}") from exc
+    if arr.dtype.kind == "u":
+        bad = arr >= 2**63
+    elif arr.dtype.kind == "f":
+        bad = ~((np.abs(arr) < 2.0**63) & (arr == np.floor(arr)))  # NaN and inf too
+    elif arr.dtype.kind == "i":  # an int64 array needs no value check
+        bad = np.zeros(arr.shape, dtype=bool)
+    else:
+        raise ValueError(f"durations must be whole frame counts, not {arr.dtype} values")
+    if np.any(bad):
+        raise ValueError(f"durations must be whole frame counts below 2**63, got {arr[bad][0]}")
+    return arr.astype(np.int64, copy=False)
+
+
 def length_regulate(states, durations) -> np.ndarray:
     """Repeat row i of `states` durations[i] times; zero durations drop rows.
 
-    Durations are whole frame counts: an integer array is taken as it is,
-    and any other array must hold integral values (a ValueError otherwise).
-    A total that overflows int64, or whose frames cannot be allocated, is a
-    ValueError too.
+    States must be finite numbers. Durations are whole frame counts below
+    2**63: an integer array is taken as it is, any other array must hold
+    integral values, and booleans are refused. A total that overflows
+    int64, or whose frames cannot be allocated, is a ValueError too, and
+    every ValueError names states or durations.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    durations = np.asarray(durations)
-    if durations.dtype.kind not in "iu":  # an integer array needs no value check
-        durations = durations.astype(np.float64)
-        whole = np.isfinite(durations) & (durations == np.floor(durations))
-        if not np.all(whole):
-            raise ValueError(f"durations must be integral frame counts, got {durations[~whole][0]}")
-    durations = durations.astype(np.int64, copy=False)
+    try:
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"states must be rows of numbers: {exc}") from exc
+    if not np.all(np.isfinite(states)):  # None reads as NaN
+        raise ValueError("states must be finite numbers")
+    durations = _durations(durations)
     if durations.ndim != 1 or states.shape[0] != durations.size:
-        raise LengthMismatch(
-            f"{states.shape[0]} state rows vs {durations.size} durations"
-        )
+        raise LengthMismatch(f"durations must be one count per state row, got shape "
+                             f"{durations.shape} for {states.shape[0]} rows")
     if np.any(durations < 0):
         raise ValueError("durations must be non-negative")
     total = sum(durations.tolist())  # exact, where an int64 sum would wrap
