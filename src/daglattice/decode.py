@@ -72,9 +72,9 @@ def _viterbi_tables(logE, emit, width, done=None):
     delta = np.full((rows, L), NEG_INF)
     phi = np.zeros((rows, L), dtype=np.int64)
     delta[0, 0] = emit[0, 0]
-    if n < 2 or min(1 + width, L) <= 1:
-        return delta, phi
     hi = min(1 + width, L)
+    if n < 2 or hi <= 1:
+        return delta, phi
     np.add(logE[0, 1:hi], emit[0, 0], out=delta[1, 1:hi])
     np.add(delta[1, 1:hi], emit[1, 1:hi], out=delta[1, 1:hi])
     if done is not None and done(1, delta[1]):
@@ -306,7 +306,12 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     mode); it costs a row maximum and a cumulative sum, and a failed test
     tightens it by one Bellman step. Paths, tokens, scores and the tie rules
     stay bit-identical to the full sweep; exact ties fail the bound and the
-    sweep runs on. A lattice with L = 1 takes the full sweep. Raises
+    sweep runs on. As the sweep seldom runs more than a few steps, its
+    tables grow with it from two rows (see _viterbi_tables, which also
+    reads step 1 straight from row 0 of log E), and the lengths are scored
+    over the rows the table has. The greedy tokens' argmax copies log P by
+    blocks into a small writable buffer, as np.argmax would copy the
+    read-only log P whole (see _greedy). A lattice with L = 1 takes the full sweep. Raises
     InfeasibleTarget when no finite-probability path reaches vertex L-1.
     """
     if length_select not in ("raw", "normalized"):
