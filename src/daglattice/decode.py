@@ -311,8 +311,9 @@ def joint_viterbi(lattice: DagLattice, length_select="normalized") -> DecodeResu
     reads step 1 straight from row 0 of log E), and the lengths are scored
     over the rows the table has. The greedy tokens' argmax copies log P by
     blocks into a small writable buffer, as np.argmax would copy the
-    read-only log P whole (see _greedy). A lattice with L = 1 takes the full sweep. Raises
-    InfeasibleTarget when no finite-probability path reaches vertex L-1.
+    read-only log P whole (see _greedy). A lattice with L = 1 takes the
+    full sweep. Raises InfeasibleTarget when no finite-probability path
+    reaches vertex L-1.
     """
     if length_select not in ("raw", "normalized"):
         raise ValueError(f"unknown length_select {length_select!r}")

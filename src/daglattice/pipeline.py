@@ -52,17 +52,17 @@ def _durations(durations) -> np.ndarray:
             arr = arr.astype(np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"durations must be whole frame counts: {exc}") from exc
+    if arr.dtype.kind == "i":  # an int64 array needs no value check
+        return arr.astype(np.int64, copy=False)
     if arr.dtype.kind == "u":
         bad = arr >= 2**63
     elif arr.dtype.kind == "f":
         bad = ~((np.abs(arr) < 2.0**63) & (arr == np.floor(arr)))  # NaN and inf too
-    elif arr.dtype.kind == "i":  # an int64 array needs no value check
-        bad = np.zeros(arr.shape, dtype=bool)
     else:
         raise ValueError(f"durations must be whole frame counts, not {arr.dtype} values")
     if np.any(bad):
         raise ValueError(f"durations must be whole frame counts below 2**63, got {arr[bad][0]}")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.int64)
 
 
 def length_regulate(states, durations) -> np.ndarray:
