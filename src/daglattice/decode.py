@@ -68,6 +68,10 @@ def _viterbi_tables(logE, emit, width, done=None):
     most 2(s+1) rows; every row after the last step run is -inf/0.
     """
     n, L = emit.shape
+    logE_T = aligned_empty(logE.shape[::-1])
+    np.copyto(logE_T, logE.T)
+    cand = aligned_empty((max(0, min(width, L)), L))
+    band = np.arange(cand.shape[0])
     rows = n if done is None else min(n, 2)
     delta = np.full((rows, L), NEG_INF)
     phi = np.zeros((rows, L), dtype=np.int64)
@@ -79,10 +83,6 @@ def _viterbi_tables(logE, emit, width, done=None):
     np.add(delta[1, 1:hi], emit[1, 1:hi], out=delta[1, 1:hi])
     if done is not None and done(1, delta[1]):
         return delta, phi
-    logE_T = aligned_empty(logE.shape[::-1])
-    np.copyto(logE_T, logE.T)
-    cand = aligned_empty((max(0, min(width, L)), L))
-    band = np.arange(cand.shape[0])
     for i in range(2, n):
         hi = min(i + width, L)
         if hi <= i:
