@@ -38,6 +38,10 @@ class GlanceAssignment:
     tau: float
 
 
+# ufunc buffer entries while the Viterbi steps run; numpy takes multiples of 16
+_STEP_BUFSIZE = 256
+
+
 def _viterbi_tables(logE, emit, width, done=None):
     """delta/phi tables of the max-plus recursion, one row per step.
 
@@ -66,38 +70,51 @@ def _viterbi_tables(logE, emit, width, done=None):
     reaches their end (at most n): filling full (n, L) tables would cost
     more than the steps it runs. A sweep that stops at step s returns at
     most 2(s+1) rows; every row after the last step run is -inf/0.
+
+    The whole call, done included, runs with a 256-entry ufunc buffer, and
+    the caller's size comes back on every exit. At numpy's default of 8192
+    the band add pays for a copy of the broadcast row through the buffer:
+    on numpy 2.4.6 one 217 x 256 add took 29.4 us at 8192 and 15.8 us at
+    256, about what a same-shape add without a broadcast costs. The suffix
+    bound and its tightening in joint Viterbi's done make the same
+    broadcast adds. Buffering changes no arithmetic, so every table keeps
+    its bits.
     """
-    n, L = emit.shape
-    logE_T = aligned_empty(logE.shape[::-1])
-    np.copyto(logE_T, logE.T)
-    cand = aligned_empty((max(0, min(width, L)), L))
-    band = np.arange(cand.shape[0])
-    rows = n if done is None else min(n, 2)
-    delta = np.full((rows, L), NEG_INF)
-    phi = np.zeros((rows, L), dtype=np.int64)
-    delta[0, 0] = emit[0, 0]
-    hi = min(1 + width, L)
-    if n < 2 or hi <= 1:
+    old = np.setbufsize(_STEP_BUFSIZE)
+    try:
+        n, L = emit.shape
+        logE_T = aligned_empty(logE.shape[::-1])
+        np.copyto(logE_T, logE.T)
+        cand = aligned_empty((max(0, min(width, L)), L))
+        band = np.arange(cand.shape[0])
+        rows = n if done is None else min(n, 2)
+        delta = np.full((rows, L), NEG_INF)
+        phi = np.zeros((rows, L), dtype=np.int64)
+        delta[0, 0] = emit[0, 0]
+        hi = min(1 + width, L)
+        if n < 2 or hi <= 1:
+            return delta, phi
+        np.add(logE[0, 1:hi], emit[0, 0], out=delta[1, 1:hi])
+        np.add(delta[1, 1:hi], emit[1, 1:hi], out=delta[1, 1:hi])
+        if done is not None and done(1, delta[1]):
+            return delta, phi
+        for i in range(2, n):
+            hi = min(i + width, L)
+            if hi <= i:
+                break
+            if i == rows:
+                rows = min(n, 2 * rows)
+                delta = np.concatenate((delta, np.full((rows - i, L), NEG_INF)))
+                phi = np.concatenate((phi, np.zeros((rows - i, L), dtype=np.int64)))
+            c = cand[: hi - i]
+            np.add(logE_T[i:hi], delta[i - 1], out=c)  # c[j - i, k] = delta[i-1, k] + logE[k, j]
+            np.argmax(c, axis=1, out=phi[i, i:hi])
+            np.add(c[band[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
+            if done is not None and done(i, delta[i]):
+                break
         return delta, phi
-    np.add(logE[0, 1:hi], emit[0, 0], out=delta[1, 1:hi])
-    np.add(delta[1, 1:hi], emit[1, 1:hi], out=delta[1, 1:hi])
-    if done is not None and done(1, delta[1]):
-        return delta, phi
-    for i in range(2, n):
-        hi = min(i + width, L)
-        if hi <= i:
-            break
-        if i == rows:
-            rows = min(n, 2 * rows)
-            delta = np.concatenate((delta, np.full((rows - i, L), NEG_INF)))
-            phi = np.concatenate((phi, np.zeros((rows - i, L), dtype=np.int64)))
-        c = cand[: hi - i]
-        np.add(logE_T[i:hi], delta[i - 1], out=c)  # c[j - i, k] = delta[i-1, k] + logE[k, j]
-        np.argmax(c, axis=1, out=phi[i, i:hi])
-        np.add(c[band[: hi - i], phi[i, i:hi]], emit[i, i:hi], out=delta[i, i:hi])
-        if done is not None and done(i, delta[i]):
-            break
-    return delta, phi
+    finally:
+        np.setbufsize(old)
 
 
 def _backtrack(phi, step):

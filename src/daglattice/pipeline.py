@@ -38,6 +38,21 @@ class LossBreakdown:
     combined: float
 
 
+def _numbers(values, name) -> np.ndarray:
+    """values as a float64 array, read as np.asarray reads them, but with a
+    ValueError starting with name for booleans and strings, which it would
+    read as 0/1 and parse, and for values it cannot read at all."""
+    try:
+        items = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be numbers: {exc}") from exc
+    if items.dtype.kind in "bSU" or (items.dtype.kind == "O" and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in items.flat)):
+        raise ValueError(f"{name} must be numbers, not booleans or strings")
+    return arr
+
+
 def _durations(durations) -> np.ndarray:
     """durations as an int64 array of whole frame counts below 2**63:
     integers, or floats with integral values, and not booleans; a ValueError
@@ -68,16 +83,17 @@ def _durations(durations) -> np.ndarray:
 def length_regulate(states, durations) -> np.ndarray:
     """Repeat row i of `states` durations[i] times; zero durations drop rows.
 
-    States must be finite numbers. Durations are whole frame counts below
-    2**63: an integer array is taken as it is, any other array must hold
-    integral values, and booleans are refused. A total that overflows
-    int64, or whose frames cannot be allocated, is a ValueError too, and
-    every ValueError names states or durations.
+    States must be finite numbers, not booleans or strings, in one row or
+    in rows; a single number is one row of one. Durations are whole frame
+    counts below 2**63: an integer array is taken as it is, any other array
+    must hold integral values, and booleans are refused. A total that
+    overflows int64, or whose frames cannot be allocated, is a ValueError
+    too, and every ValueError names states or durations.
     """
-    try:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"states must be rows of numbers: {exc}") from exc
+    states = _numbers(states, "states")
+    if states.ndim > 2:
+        raise ValueError(f"states must be rows of numbers, got {states.ndim} dimensions")
+    states = np.atleast_2d(states)
     if not np.all(np.isfinite(states)):  # None reads as NaN
         raise ValueError("states must be finite numbers")
     durations = _durations(durations)
@@ -98,8 +114,7 @@ def length_regulate(states, durations) -> np.ndarray:
 
 
 def _pair(pred, gt, name):
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
+    pred, gt = _numbers(pred, f"{name} pred"), _numbers(gt, f"{name} gt")
     if pred.shape != gt.shape:
         raise ShapeMismatch(f"{name}: pred shape {pred.shape} vs gt shape {gt.shape}")
     return pred, gt
@@ -109,7 +124,9 @@ def tts_losses(pred_mel, gt_mel, pred_dur, gt_dur, pred_pitch, gt_pitch,
                pred_energy, gt_energy) -> TTSLosses:
     """Mean L1 on mel plus mean squared error on duration/pitch/energy,
     summed with unit weights. A term or total that is not a finite number
-    (an empty or non-finite input, or an overflow) is a ValueError naming it.
+    (an empty or non-finite input, or an overflow) is a ValueError naming it;
+    so is an input that is not numbers (booleans, strings, rows of unequal
+    length), by its pair and side: "mel pred", "duration gt" and so on.
     """
     pairs = (_pair(pred_mel, gt_mel, "mel"), _pair(pred_dur, gt_dur, "duration"),
              _pair(pred_pitch, gt_pitch, "pitch"), _pair(pred_energy, gt_energy, "energy"))

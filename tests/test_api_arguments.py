@@ -1,7 +1,7 @@
 """Library calls on every kind of scalar argument: each returns a number
 that is not NaN, or raises a ValueError whose message starts with the name
-of the argument it rejects, and none warns. length_regulate is held to the
-same rule on arrays of such scalars."""
+of the argument it rejects, and none warns. length_regulate and tts_losses
+are held to the same rule on arrays of such scalars."""
 
 import math
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from daglattice import composite_loss, length_regulate, tau_schedule
+from daglattice import composite_loss, length_regulate, tau_schedule, tts_losses
 from daglattice.decode import unmask_count
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -137,6 +137,70 @@ def test_length_regulate_gives_finite_frames(case):
     assert frames.shape[0] == sum(int(d) for d in np.atleast_1d(durations))
 
 
+# mel, duration, pitch and energy: a prediction and its ground truth each
+PAIRS = ("mel", "duration", "pitch", "energy")
+
+
+@st.composite
+def loss_inputs(draw):
+    """Eight tts_losses arguments. Three pairs in four are finite floats of
+    one length, as a list or an array, so that a share of draws is
+    accepted; the rest mix entries of every kind, scalars and booleans."""
+    args = []
+    for _ in PAIRS:
+        floats = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3)
+        if draw(st.integers(0, 3)):
+            pred = draw(floats)
+            gt = draw(st.lists(st.floats(-1e3, 1e3), min_size=len(pred), max_size=len(pred)))
+            args += [np.array(pred), gt] if draw(st.booleans()) else [pred, np.array(gt)]
+            continue
+        n = draw(st.integers(0, 3))
+        side = st.one_of(
+            st.lists(STATE_ENTRIES, min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+            STATE_ENTRIES)
+        args += [draw(side), draw(side)]
+    return args
+
+
+@settings(max_examples=400, deadline=None)
+@given(loss_inputs())
+@example([[[True]], [[False]], [1.0], ["2"], [1.0], [1.0], [1.0], [1.0]])
+@example(["x", "y", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+@example([[1e308], [-1e308], 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])  # the difference overflows
+@example([np.ones(2), [0.5, 1.5], 1.0, 2.0, [3.0], [1.0], 0.0, 0.0])
+def test_tts_losses_are_finite_or_name_the_pair(args):
+    try:
+        losses = tts_losses(*args)
+    except ValueError as exc:
+        # a pair by name and side, a shape mismatch by name, or a loss term
+        assert any(str(exc).startswith((f"{name} pred ", f"{name} gt ", f"{name}: "))
+                   for name in PAIRS) or str(exc).startswith("tts loss "), exc
+        return
+    # accepted inputs keep the bits of float64 arithmetic on np.asarray
+    pairs = [np.asarray(a, dtype=np.float64) for a in args]
+    terms = [float(np.mean(err(pairs[2 * t] - pairs[2 * t + 1])))
+             for t, err in enumerate((np.abs, np.square, np.square, np.square))]
+    assert [losses.l1, losses.dur_mse, losses.pitch_mse, losses.energy_mse] == terms
+    assert losses.total == sum(terms) and math.isfinite(losses.total)
+
+
+@pytest.mark.parametrize("args, name", [
+    (([[True]], [[False]], [1.0], ["2"], [1.0], [1.0], [1.0], [1.0]), "mel pred"),  # read as 1/0
+    (([[1.0]], [[0.0]], [1.0], ["2"], [1.0], [1.0], [1.0], [1.0]), "duration gt"),  # parsed as 2
+    (("x", "y", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "mel pred"),
+    ((1.0, 1.0, 1.0, np.array([b"2"]), 1.0, 1.0, 1.0, 1.0), "duration gt"),
+    ((1.0, 1.0, 1.0, 1.0, np.array([1.0, 2.0]), [1.0, True], 1.0, 1.0), "pitch gt"),
+    ((1.0, 1.0, 1.0, 1.0, 1.0, 1.0, [10**400], [1.0]), "energy pred"),
+    (([[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0]], 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "mel pred"),
+    (([np.zeros((2, 2)), np.zeros((2, 3))], 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0), "mel pred"),
+])
+def test_tts_losses_names_the_pair_it_rejects(args, name):
+    with pytest.raises(ValueError) as info:
+        tts_losses(*args)
+    assert str(info.value).startswith(f"{name} must be numbers"), info.value
+
+
 @pytest.mark.parametrize("states, durations, name", [
     (None, [1], "states"),  # read as NaN
     ([[math.nan]], [1], "states"),
@@ -147,8 +211,19 @@ def test_length_regulate_gives_finite_frames(case):
     ([[1.0]], [10**400], "durations"),
     ([[1.0]], [2**64], "durations"),
     ([[1.0]], np.array([2**63], dtype=np.uint64), "durations"),
+    ([[True, False]], [2], "states"),  # read as 1/0
+    ([[1.0, True]], [2], "states"),
+    ("1.5", [1], "states"),  # parsed as 1.5
+    (np.array([["1.5"]]), [1], "states"),
+    (np.zeros((2, 2, 2)), [1, 1], "states"),  # 3-D frames
 ])
 def test_length_regulate_names_what_it_rejects(states, durations, name):
     with pytest.raises(ValueError) as info:
         length_regulate(states, durations)
     assert _rejects(info.value, name), info.value
+
+
+def test_length_regulate_takes_one_dimensional_states_as_one_row():
+    frames = length_regulate([1.0, 2.0], [2])
+    assert frames.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+    assert length_regulate(np.float64(1.5), [1]).tolist() == [[1.5]]

@@ -426,6 +426,94 @@ def test_decoders_bit_identical_to_full_table_decode(monkeypatch):
     assert sum(isinstance(o, tuple) and len(o) == 2 for o in got) >= 100  # feasible ones
 
 
+@pytest.fixture
+def callers_bufsize():
+    """Sets the caller's ufunc buffer size for a test and restores numpy's
+    value afterwards, whatever the test left."""
+    before = np.getbufsize()
+    yield np.setbufsize
+    np.setbufsize(before)
+
+
+def test_decoders_bit_identical_under_any_callers_ufunc_buffer(callers_bufsize):
+    """best_path, joint_viterbi in both modes and _viterbi_tables give the
+    same bits whether the caller's ufunc buffer holds 16, 8192 (numpy's
+    default) or 65536 entries; only large bands fill a buffer, so the
+    benchmark shape is in the mix."""
+    rng = np.random.default_rng(16)
+    lats = [lat for lat, _ in zip(_decode_mix(seed=16), range(40))]
+    lats += [build_random(64, 50, 0, 4), build_random(256, 1000, 0, 5)]
+    cases = [(lat, rng.integers(0, lat.vocab_size, size=M))
+             for lat in lats for M in sorted({1, lat.graph_size // 4 + 1, lat.graph_size})]
+
+    def run_all():
+        out = []
+        for lat, y in cases:
+            for select in ("normalized", "raw"):
+                r = _outcome(decode.joint_viterbi, lat, select)
+                out.append(r if isinstance(r, str)
+                           else (r.path.vertices, r.tokens.tokens.tolist(), r.joint_logprob))
+            out.append(_outcome(decode.best_path, lat, y))
+            L, M = lat.graph_size, y.size
+            delta, phi = _viterbi_tables(lat.log_transition, lat.log_emission[:, y].T, L - M + 1)
+            out.append((delta.tobytes(), phi.tobytes()))
+        return out
+
+    results = []
+    for size in (16, 8192, 65536):
+        callers_bufsize(size)
+        results.append(run_all())
+        assert np.getbufsize() == size
+    assert results[0] == results[1] == results[2]  # floats compare with ==: bit for bit
+
+
+def _infeasible_target():
+    """A lattice whose target token is -inf at every vertex."""
+    lt = np.triu(np.full((4, 4), -1.0), k=1)
+    lt[np.tril_indices(4)] = NEG_INF
+    le = np.array([[-0.5, NEG_INF]] * 4)
+    return DagLattice(4, 2, 0, lt, le), np.array([0, 1, 0])
+
+
+def _no_path_to_the_end():
+    """A lattice with no edge at all, so no path reaches the last vertex."""
+    return DagLattice(3, 2, 0, np.full((3, 3), NEG_INF), np.log([[0.5, 0.5]] * 3))
+
+
+@pytest.mark.parametrize("size", [16, 8192, 65536])
+def test_viterbi_steps_restore_the_callers_ufunc_buffer(callers_bufsize, size):
+    """The steps, and a done callback, run with the small buffer; the
+    caller's size is back after a return, an InfeasibleTarget and a done
+    that raises."""
+    callers_bufsize(size)
+    lat = build_random(32, 8, 0, 6)
+    decode.best_path(lat, np.zeros(8, dtype=np.int64))
+    assert np.getbufsize() == size
+    decode.joint_viterbi(lat)
+    assert np.getbufsize() == size
+    lat_y = _infeasible_target()
+    with pytest.raises(InfeasibleTarget):
+        decode.best_path(*lat_y)
+    assert np.getbufsize() == size
+    with pytest.raises(InfeasibleTarget):
+        decode.joint_viterbi(_no_path_to_the_end())
+    assert np.getbufsize() == size
+
+    seen = []
+
+    def done(i, row):
+        seen.append(np.getbufsize())
+        if i == 3:
+            raise RuntimeError("stop")
+        return False
+
+    logE, logP = lat.log_transition, lat.log_emission
+    with pytest.raises(RuntimeError, match="stop"):
+        _viterbi_tables(logE, np.broadcast_to(logP[:, 0], (32, 32)), 32, done)
+    assert seen == [256, 256, 256]
+    assert np.getbufsize() == size
+
+
 def test_nll_grad_never_builds_pairwise_tensor():
     lat = build_random(256, 1000, 0, 1)
     y = np.random.default_rng(1).integers(0, 1000, size=64)
