@@ -80,6 +80,7 @@ def _viterbi_tables(logE, emit, width, done=None):
     broadcast adds. Buffering changes no arithmetic, so every table keeps
     its bits.
     """
+    # restored by hand: leaving np.errstate restores bufsize only since numpy 2.0
     old = np.setbufsize(_STEP_BUFSIZE)
     try:
         n, L = emit.shape
