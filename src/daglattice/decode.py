@@ -54,6 +54,9 @@ def _viterbi_tables(logE, emit, width, done=None):
     the band stay -inf/0. Step 1 reads row 0 of log E: delta[0] is -inf but
     at vertex 0, so delta[1, j] = emit[0, 0] + logE[0, j] + emit[1, j] and
     phi[1, j] = 0, the first maximum even when all candidates are -inf.
+    A width <= 0 (or L = 1) returns after row 0. Every caller's steps run
+    below L, so with width >= 1 every step past step 1 has at least one
+    band vertex: hi = min(i + width, L) > i.
     Each later step adds the contiguous rows logE_T[i:hi] of a transposed
     copy of log E, taken once per call, into a preallocated (j, k) buffer,
     so the maximum runs along the contiguous axis. Both start on a 64-byte
@@ -101,8 +104,6 @@ def _viterbi_tables(logE, emit, width, done=None):
             return delta, phi
         for i in range(2, n):
             hi = min(i + width, L)
-            if hi <= i:
-                break
             if i == rows:
                 rows = min(n, 2 * rows)
                 delta = np.concatenate((delta, np.full((rows - i, L), NEG_INF)))
@@ -386,9 +387,8 @@ def glance_assign(lattice: DagLattice, target, tau, seed=0) -> GlanceAssignment:
     """Align the target to its best path, then reveal ceil(tau*M) positions
     chosen uniformly at random; deterministic given the seed.
     """
-    y = _tokens(lattice, target)
-    path, _ = best_path(lattice, y)
-    M = y.size
+    path, _ = best_path(lattice, target)
+    M = len(path)
     n = unmask_count(tau, M)
     rng = np.random.default_rng(integer_at_least(seed, "seed", 0))
     mask = np.zeros(M, dtype=bool)

@@ -304,7 +304,7 @@ def nll_grad(lattice: DagLattice, target):
     """
     y = _tokens(lattice, target)
     ft, bt, logZ, gamma = _smoothed(lattice, y)
-    logE, logP = lattice.log_transition, lattice.log_emission
+    logE = lattice.log_transition
     a, c = _edge_factors(lattice, y, ft, bt)
     expE, top = _pass_matrix(lattice)
     with np.errstate(all="ignore"):
@@ -320,14 +320,11 @@ def nll_grad(lattice: DagLattice, target):
             dE += np.exp(a[i][:, None] + logE + c[i][None, :] - logZ)
     # 0 - x rather than -x: entries at -inf get +0.0
     np.subtract(0.0, dE, out=dE)
-    # only the target's columns are nonzero: subtract gamma[i] from column
-    # y[i] in step order, as one unbuffered ufunc.at on those columns
-    cols, pos = np.unique(y, return_inverse=True)
-    block = np.zeros((lattice.graph_size, cols.size))
-    np.subtract.at(block, (slice(None), pos), gamma.T)
-    block[logP[:, cols] == NEG_INF] = 0.0
+    # subtract gamma[i] from column y[i] in step order, as one unbuffered
+    # ufunc.at; gamma[i, j] is exactly 0 where log P[j, y[i]] is -inf (log
+    # alpha includes that emission), so those entries stay +0.0 unmasked
     dP = np.zeros((lattice.graph_size, lattice.vocab_size))
-    dP[:, cols] = block
+    np.subtract.at(dP, (slice(None), y), gamma.T)
     return dE, dP
 
 

@@ -268,8 +268,7 @@ def validate(lattice: DagLattice) -> ValidationReport:
             report.add(f"{name}_row_norm", int(k), dev[k])
 
     for name, mat in (("transition", lt), ("emission", le)):
-        pos = np.argwhere(mat > 0.0)
-        for row in np.unique(pos[:, 0]) if pos.size else ():
+        for row in np.flatnonzero((mat > 0.0).any(axis=1)):
             report.add(f"positive_{name}_entry", int(row), float(np.max(mat[row])))
     return report
 

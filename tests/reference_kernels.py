@@ -109,6 +109,19 @@ def nll_grad(lattice, y):
     return dE, dP
 
 
+def block_emission_grad(lattice, y, gamma):
+    """The emission gradient through the target's distinct columns: gamma
+    subtracted in step order into an (L, distinct tokens) block, entries at
+    -inf log P masked to 0, and the block copied into the zeroed dP."""
+    cols, pos = np.unique(y, return_inverse=True)
+    block = np.zeros((lattice.graph_size, cols.size))
+    np.subtract.at(block, (slice(None), pos), gamma.T)
+    block[lattice.log_emission[:, cols] == NEG_INF] = 0.0
+    dP = np.zeros((lattice.graph_size, lattice.vocab_size))
+    dP[:, cols] = block
+    return dP
+
+
 def finite_difference_check(lattice, y, step=1e-6):
     """The gradient check's report with fresh copies of both log matrices
     for every perturbed evaluation, each entry perturbed by += delta."""

@@ -528,6 +528,39 @@ def test_nll_grad_never_builds_pairwise_tensor():
     assert peak < 8 * 2**20, f"nll_grad peak {peak / 2**20:.1f} MB"
 
 
+def _masked_emission_mix(n, seed):
+    """Random lattices with 30 % of log P at -inf and targets that repeat
+    their first token at every third step, beside the edge-case mix."""
+    yield from _lattice_mix(300, seed=seed)
+    rng = np.random.default_rng(seed)
+    for s in range(n):
+        L, V = int(rng.integers(3, 40)), int(rng.integers(2, 9))
+        lat = build_random(L, V, 0, s)
+        le = np.array(lat.log_emission)
+        le[rng.random(le.shape) < 0.3] = NEG_INF
+        y = rng.integers(0, V, size=int(rng.integers(2, L + 1)))
+        y[1::3] = y[0]
+        yield DagLattice(L, V, 0, lat.log_transition, le), y
+
+
+def test_emission_gradient_is_plus_zero_at_masked_entries_and_matches_the_block_formula():
+    """nll_grad's one scatter into dP leaves +0.0 wherever log P is -inf
+    (gamma is exactly 0 there), and equals, bit for bit, the formula that
+    masks those entries in a block of the target's distinct columns."""
+    masked_target_columns = 0
+    for lat, y in _masked_emission_mix(40, seed=21):
+        try:
+            _, dP = nll_grad(lat, y)
+        except InfeasibleTarget:
+            continue
+        masked = lat.log_emission == NEG_INF
+        assert np.all(dP[masked] == 0.0) and not np.signbit(dP[masked]).any()
+        want = ref.block_emission_grad(lat, y, posterior(lat, y).gamma)
+        assert dP.tobytes() == want.tobytes()
+        masked_target_columns += bool(masked[:, y].any())
+    assert masked_target_columns >= 60
+
+
 def _binary_header(L, V, d):
     return BINARY_MAGIC + struct.pack("<IIII", BINARY_VERSION, L, V, d)
 
