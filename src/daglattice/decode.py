@@ -261,14 +261,18 @@ def best_path(lattice: DagLattice, target):
     delta_i(j) = max_{k<j} delta_{i-1}(k) + log E[k, j] + log P[j, y_i],
     phi stores the argmax predecessor; backtrack from vertex L-1. A length-M
     path is at a vertex j <= L-M+i at step i, so each step scans only the
-    L-M+1 vertices [i, L-M+i] (width L-M+1 in _viterbi_tables).
+    L-M+1 vertices [i, L-M+i] (width L-M+1 in _viterbi_tables). A target
+    longer than the lattice (M > L) has no path and raises InfeasibleTarget
+    before any table is built.
     """
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    delta, phi = _viterbi_tables(
-        lattice.log_transition, lattice.log_emission[:, y].T, L - M + 1
-    )
-    score = float(delta[M - 1, L - 1])
+    score = NEG_INF
+    if M <= L:
+        delta, phi = _viterbi_tables(
+            lattice.log_transition, lattice.log_emission[:, y].T, L - M + 1
+        )
+        score = float(delta[M - 1, L - 1])
     if score == NEG_INF:
         raise InfeasibleTarget(
             f"no finite-probability length-{M} path in a {L}-vertex lattice"

@@ -192,29 +192,37 @@ def _sweep(x0, addend, out, logE, expE, top):
 
 
 def forward(lattice: DagLattice, target) -> ForwardTable:
+    """log alpha, (M, L). A path is at a vertex j >= i at step i, so only
+    rows 1..min(M, L)-1 are swept; the rows after them stay -inf, and a
+    target longer than the lattice (M > L) has log marginal -inf."""
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    emit = lattice.log_emission[:, y].T  # (M, L)
+    n = min(M, L)
+    emit = lattice.log_emission[:, y[:n]].T  # (n, L)
     expE, top = _pass_matrix(lattice)
     la = np.full((M, L), NEG_INF)
     la[0, 0] = emit[0, 0]
     # the sweep leaves the sums over predecessors k (log E is -inf unless
-    # k < j) in la[1:], and adds the emissions only into its next input
-    _sweep(la[0], emit[1:], la[1:], lattice.log_transition, expE, top)
-    la[1:] += emit[1:]
+    # k < j) in la[1:n], and adds the emissions only into its next input
+    _sweep(la[0], emit[1:], la[1:n], lattice.log_transition, expE, top)
+    la[1:n] += emit[1:]
     return ForwardTable(la)
 
 
 def backward(lattice: DagLattice, target) -> BackwardTable:
+    """log beta, (M, L). A path that ends at vertex L-1 at step M-1 is at a
+    vertex j <= L-M+i at step i, so only rows max(0, M-L)..M-2 are swept;
+    the rows before them stay -inf."""
     y = _tokens(lattice, target)
     M, L = y.size, lattice.graph_size
-    emit = lattice.log_emission[:, y].T
+    lo = max(0, M - L)
+    emit = lattice.log_emission[:, y[lo:]].T  # steps lo..M-1
     expE, top = _pass_matrix(lattice)
     lb = np.full((M, L), NEG_INF)
     lb[M - 1, L - 1] = 0.0
     # reduce over successors, on transposed views: expE.T is the same
-    # F-ordered operand as exp(log E.T); rows run from step M-2 down to 0
-    _sweep(lb[M - 1] + emit[M - 1], emit[1:M - 1][::-1], lb[:M - 1][::-1],
+    # F-ordered operand as exp(log E.T); rows run from step M-2 down to lo
+    _sweep(lb[M - 1] + emit[-1], emit[1:-1][::-1], lb[lo:M - 1][::-1],
            lattice.log_transition.T, expE.T, top)
     return BackwardTable(lb)
 
@@ -230,7 +238,11 @@ def _forward_table(lattice: DagLattice, y) -> ForwardTable:
 
 
 def log_marginal(lattice: DagLattice, target) -> float:
-    return _forward_table(lattice, _tokens(lattice, target)).log_marginal
+    """log P(Y | X); -inf when no path exists, at once when M > L."""
+    y = _tokens(lattice, target)
+    if y.size > lattice.graph_size:
+        return NEG_INF
+    return _forward_table(lattice, y).log_marginal
 
 
 def nll(lattice: DagLattice, target) -> float:
@@ -240,20 +252,26 @@ def nll(lattice: DagLattice, target) -> float:
 
 def _smoothed(lattice: DagLattice, y):
     """Forward and backward tables, log marginal and gamma of a feasible
-    target, from the lattice's memo; the arrays are read-only."""
+    target, from the lattice's memo; the arrays are read-only. A target
+    longer than the lattice raises before any table is built."""
+    def infeasible():
+        return InfeasibleTarget(
+            f"target of length {y.size} has no path in a {lattice.graph_size}-vertex lattice"
+        )
+
     def build():
         ft = _forward_table(lattice, y)
         logZ = ft.log_marginal
         if logZ == NEG_INF:
-            raise InfeasibleTarget(
-                f"target of length {y.size} has no path in a {lattice.graph_size}-vertex lattice"
-            )
+            raise infeasible()
         bt = backward(lattice, y)
         gamma = np.exp(ft.log_alpha + bt.log_beta - logZ)
         bt.log_beta.setflags(write=False)
         gamma.setflags(write=False)
         return ft, bt, logZ, gamma
 
+    if y.size > lattice.graph_size:
+        raise infeasible()
     return memo(lattice, "_dp_smoothed", y.tobytes(), build)
 
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from daglattice import composite_loss, length_regulate, tau_schedule, tts_losses
-from daglattice.decode import unmask_count
+from daglattice import (InfeasibleTarget, build_random, composite_loss, length_regulate,
+                        tau_schedule, tts_losses)
+from daglattice.decode import best_path, glance_assign, unmask_count
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -227,3 +228,66 @@ def test_length_regulate_takes_one_dimensional_states_as_one_row():
     frames = length_regulate([1.0, 2.0], [2])
     assert frames.tolist() == [[1.0, 2.0], [1.0, 2.0]]
     assert length_regulate(np.float64(1.5), [1]).tolist() == [[1.5]]
+
+
+GLANCE_LATTICE = build_random(6, 4, 0, 3)  # every target of 1..6 in-vocabulary tokens has a path
+# in-vocabulary targets that fit, over-long ones, the refused kinds (empty,
+# floats, booleans, beyond int64, strings, None, 2-D, out of vocabulary)
+# and short lists of any scalar
+TARGETS = st.one_of(
+    st.lists(st.integers(0, 3), min_size=2, max_size=6),
+    st.lists(st.integers(0, 3), min_size=2, max_size=6).map(np.array),
+    st.lists(st.integers(0, 3), min_size=7, max_size=12),
+    st.sampled_from([[], [1.5, 0], [True, 0], [2**70, 0], "ab", None, [[0, 1]], [0, 9], [-1, 0],
+                     np.array([[0, 1]]), np.array([0, 4])]),
+    st.lists(SCALARS, min_size=1, max_size=3),
+)
+
+
+def _names_target(exc):
+    return _rejects(exc, "target") or str(exc).endswith(" in target")
+
+
+@settings(max_examples=400, deadline=None)
+@given(target=TARGETS, tau=st.one_of(st.floats(0.05, 1.0), SCALARS),
+       seed=st.one_of(st.integers(0, 2**64), SCALARS))
+@example([0, 1, 2], 0.5, 7)
+@example([3, 2, 1, 0, 1, 2], 1.0, 0)
+@example(np.array([0, 0]), np.float32(0.3), 2**63 - 1)
+@example([0, 1], None, 0)
+@example([0, 1], "0.5", 0)
+@example([0, 1], math.nan, 0)
+@example([0, 1], 10**400, 0)
+@example([0, 1], 0.5, True)
+@example([0, 1], 0.5, 1.5)
+@example([0, 1], 0.5, -1)
+@example([0, 1], 0.5, None)
+@example([1.5, 0], None, None)  # a bad target is named before a bad tau
+@example([0] * 7, None, None)  # so is an over-long one
+def test_glance_assign_aligns_or_names_what_it_rejects(target, tau, seed):
+    """Returns best_path's path with unmask_count(tau, M) tokens revealed,
+    or refuses the target first (a ValueError naming it, or
+    InfeasibleTarget), then tau, then seed."""
+    lat = GLANCE_LATTICE
+    try:
+        want_path = best_path(lat, target)[0]
+    except ValueError as exc:  # InfeasibleTarget included
+        with pytest.raises(type(exc)) as info:
+            glance_assign(lat, target, tau, seed)
+        assert str(info.value) == str(exc)
+        assert isinstance(exc, InfeasibleTarget) or _names_target(exc), exc
+        return
+    try:
+        ga = glance_assign(lat, target, tau, seed)
+    except ValueError as exc:
+        assert not isinstance(exc, InfeasibleTarget)
+        if _rejects(exc, "seed"):
+            unmask_count(tau, len(want_path))  # tau was fine
+        else:
+            assert _rejects(exc, "tau"), exc
+        return
+    M = len(want_path)
+    assert ga.path == want_path
+    assert ga.observed_mask.dtype == bool and ga.observed_mask.shape == (M,)
+    assert int(ga.observed_mask.sum()) == unmask_count(tau, M)
+    assert ga.tau == float(tau)

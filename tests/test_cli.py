@@ -71,6 +71,15 @@ def test_score_infeasible_exit_3(fixture_dir, capsys):
     assert json.loads(out)["outputs"]["nll"] == "inf"
 
 
+def test_score_of_a_target_far_longer_than_the_lattice_exits_3(fixture_dir, capsys):
+    save_target(TargetSequence(np.zeros(10**5, dtype=np.int64)), fixture_dir / "huge_tgt.json")
+    code, out = run(capsys, "score",
+                    "--lattice", str(fixture_dir / "lat.json"),
+                    "--target", str(fixture_dir / "huge_tgt.json"))
+    assert code == 3
+    assert json.loads(out)["outputs"]["nll"] == "inf"
+
+
 def test_score_matches_oracle_subcommand(fixture_dir, capsys):
     _, out1 = run(capsys, "score",
                   "--lattice", str(fixture_dir / "lat.json"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from daglattice import (
     nll_grad,
     posterior,
 )
-from daglattice import oracle
+from daglattice import dp, oracle
+from daglattice.decode import best_path
+from daglattice.dp import log_marginal
 from daglattice.gradcheck import finite_difference_check
 from daglattice.logspace import NEG_INF, logsumexp
 
+import reference_kernels as ref
 from conftest import lattice_from_probs
 
 
@@ -103,6 +107,51 @@ class TestNll:
     def test_target_longer_than_graph_is_infeasible(self):
         lat = build_random(3, 4, 0, 0)
         assert nll(lat, [0, 1, 2, 3]) == math.inf
+
+    def test_target_far_longer_than_graph_is_answered_by_its_length(self):
+        """M > L has no path: every call answers as the full computation
+        would, without gathering log P[:, y] or building an (M, L) table."""
+        lat = build_random(6, 4, 3, 0)
+        y = np.zeros(10**5, dtype=np.int64)  # 0.8 MB; an (M, L) table is 4.8 MB
+        no_path = "target of length 100000 has no path in a 6-vertex lattice"
+        calls = [
+            (log_marginal, lambda v: v == -math.inf),
+            (nll, lambda v: v == math.inf),
+            (posterior, no_path),
+            (expected_states, no_path),
+            (nll_grad, no_path),
+            (best_path, "no finite-probability length-100000 path in a 6-vertex lattice"),
+        ]
+        for f, want in calls:
+            tracemalloc.start()
+            try:
+                if isinstance(want, str):
+                    with pytest.raises(InfeasibleTarget, match=f"^{want}$"):
+                        f(lat, y)
+                else:
+                    assert want(f(lat, y))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, f"{f.__name__} peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_over_long_tables_sweep_only_reachable_rows(self, seed, monkeypatch):
+        """Forward sweeps rows 1..min(M, L)-1 and backward rows
+        max(0, M-L)..M-2; every table equals the stepwise reference, which
+        runs all M-1 steps, bit for bit."""
+        products = []
+        real = dp._matmul
+        monkeypatch.setattr(dp, "_matmul", lambda *a, **kw: products.append(1) or real(*a, **kw))
+        lat = build_random(2 + 3 * seed, 5, 0, seed)
+        L = lat.graph_size
+        for M in (1, L - 1, L, L + 1, 2 * L + 3):
+            y = np.random.default_rng(seed).integers(0, 5, size=M)
+            products.clear()
+            la, lb = forward(lat, y).log_alpha, backward(lat, y).log_beta
+            assert len(products) == 2 * (min(y.size, L) - 1)
+            assert np.array_equal(la, ref.stepwise_forward(lat, y))
+            assert np.array_equal(lb, ref.stepwise_backward(lat, y))
 
     def test_length_one_target_on_multi_vertex_graph_is_infeasible(self):
         lat = build_random(3, 4, 0, 0)

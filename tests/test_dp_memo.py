@@ -79,8 +79,19 @@ def test_one_forward_and_one_backward_per_training_step(pass_counts):
 
 
 def test_infeasible_target_skips_the_backward_pass(pass_counts):
+    # a target longer than the lattice is answered by its length, with no pass
     lat = fresh()
     y = targets()[2]
+    assert dp.nll(lat, y) == float("inf")
+    for _ in range(2):
+        with pytest.raises(InfeasibleTarget):
+            dp.nll_grad(lat, y)
+    assert pass_counts == {"forward": 0, "backward": 0}
+    # one that fits but whose token no vertex emits takes one forward pass
+    le = np.array(lat.log_emission)
+    le[:, 0] = -np.inf
+    lat = DagLattice(GRAPH, VOCAB, HIDDEN, lat.log_transition, le, lat.hidden_states)
+    y = np.zeros(6, dtype=np.int64)
     assert dp.nll(lat, y) == float("inf")
     for _ in range(2):
         with pytest.raises(InfeasibleTarget):
